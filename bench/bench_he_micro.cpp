@@ -403,8 +403,8 @@ void bench_he(HeFixture& f, const char* label, std::size_t threads,
 }
 
 // Transport-framing overhead: a serialized ciphertext pushed through the
-// simulated channel raw vs framed (24-byte header + CRC32C + retry
-// bookkeeping), and the same payload inside a mini encrypt -> ship ->
+// simulated channel raw vs framed (24-byte header + CRC32C + sequence
+// check), and the same payload inside a mini encrypt -> ship ->
 // decrypt exchange so the delta can be stated against end-to-end work.  The
 // bench-trajectory gate (tools/check_framing_overhead.py) asserts the
 // end-to-end ratio stays under 2%.
@@ -430,7 +430,7 @@ void bench_framing(HeFixture& f, const char* label, const Options& opt) {
     (void)raw_ch.recv(Party::kServer);
   });
   Channel framed_base;
-  FramedChannel framed(framed_base, FaultSpec{}, RetryPolicy{});
+  FramedChannel framed(framed_base, FaultSpec{});
   const double framed_s = time_loop([&] {
     framed.send(Party::kClient, MessageKind::kCiphertexts, payload);
     (void)framed.recv_expect(Party::kServer, MessageKind::kCiphertexts);

@@ -2,8 +2,8 @@
 //
 // Every PRIMER_* knob used to be parsed ad hoc with std::stod/std::stoull,
 // which silently accepted trailing junk ("0.1abc" -> 0.1) and wrapped
-// negative integers around ("−1" -> 2^64-1).  A typo'd fault or retry knob
-// would then misconfigure a run without any indication.  These helpers make
+// negative integers around ("−1" -> 2^64-1).  A typo'd fault knob would
+// then misconfigure a run without any indication.  These helpers make
 // the failure mode deterministic:
 //
 //   * unset or empty variable        -> fallback value

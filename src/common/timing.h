@@ -80,10 +80,6 @@ struct PhaseCost {
   std::uint64_t gc_table_bytes = 0;           // garbled-table payload shipped
   std::uint64_t gc_streamed_table_bytes = 0;  // of which via kGcTableChunk
   std::uint64_t gc_table_chunks = 0;          // streamed spans shipped
-  // Retry-layer traffic (frames resent after injected faults plus their
-  // bytes, control requests included in bytes_sent already).
-  std::uint64_t retransmits = 0;
-  std::uint64_t retransmit_bytes = 0;
   // Smallest estimated noise budget (bits) observed at any decryption in
   // this step; +inf when the step decrypted nothing.
   double min_noise_margin_bits = std::numeric_limits<double>::infinity();
@@ -108,8 +104,6 @@ struct PhaseCost {
     gc_table_bytes += o.gc_table_bytes;
     gc_streamed_table_bytes += o.gc_streamed_table_bytes;
     gc_table_chunks += o.gc_table_chunks;
-    retransmits += o.retransmits;
-    retransmit_bytes += o.retransmit_bytes;
     min_noise_margin_bits = std::min(min_noise_margin_bits, o.min_noise_margin_bits);
     return *this;
   }

@@ -42,13 +42,6 @@ class Channel {
     q.push_back(std::move(msg));
   }
 
-  // Accounts control traffic (retransmit requests, acks) that the simulated
-  // transport exchanges out of band: the bytes, message count and flight
-  // pattern are charged exactly as a real message would be, but nothing is
-  // enqueued — the in-process peer must never mistake control chatter for a
-  // data frame.
-  void charge_control(Party from, std::size_t bytes) { charge(from, bytes); }
-
   // Places a message in the receiver's queue without charging the wire:
   // used by session resume to re-deliver checkpoint-covered frames the peer
   // already holds — those bytes crossed the wire in a previous attempt and
@@ -57,7 +50,7 @@ class Channel {
     queue_[static_cast<int>(other(from))].push_back(std::move(msg));
   }
 
-  // Extra simulated latency (retry backoff, injected delivery delay).
+  // Extra simulated latency (an injected stall).
   void add_simulated_delay(double seconds) {
     if (seconds > 0) simulated_seconds_ += seconds;
   }

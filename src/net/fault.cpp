@@ -9,13 +9,8 @@ namespace primer {
 FaultSpec FaultSpec::from_env() {
   FaultSpec s;
   s.seed = env_u64("PRIMER_FAULT_SEED", s.seed);
-  s.drop = env_double("PRIMER_FAULT_DROP", s.drop, 0.0, 1.0);
-  s.duplicate = env_double("PRIMER_FAULT_DUP", s.duplicate, 0.0, 1.0);
-  s.reorder = env_double("PRIMER_FAULT_REORDER", s.reorder, 0.0, 1.0);
   s.truncate = env_double("PRIMER_FAULT_TRUNCATE", s.truncate, 0.0, 1.0);
   s.bitflip = env_double("PRIMER_FAULT_BITFLIP", s.bitflip, 0.0, 1.0);
-  s.delay = env_double("PRIMER_FAULT_DELAY", s.delay, 0.0, 1.0);
-  s.delay_s = env_double("PRIMER_FAULT_DELAY_S", s.delay_s, 0.0, 3600.0);
   s.kill_after = env_u64("PRIMER_FAULT_KILL_AFTER", s.kill_after);
   const std::string mode = env_string("PRIMER_FAULT_KILL_MODE", "throw");
   if (mode == "sigkill") {
@@ -30,6 +25,13 @@ FaultSpec FaultSpec::from_env() {
       env_double("PRIMER_FAULT_STALL_WALL_S", s.stall_wall_s, 0.0, 3600.0);
   s.hostile_after = env_u64("PRIMER_FAULT_HOSTILE_AFTER", s.hostile_after);
   return s;
+}
+
+void FaultSpec::prepare_restart() {
+  kill_after = 0;
+  stall_after = 0;
+  hostile_after = 0;
+  seed = Rng(seed).next();
 }
 
 FaultInjector::WireEvent FaultInjector::on_wire_frame() {
@@ -57,38 +59,18 @@ bool FaultInjector::roll(double p) {
   return rng_.uniform_real() < p;
 }
 
-FaultInjector::Outcome FaultInjector::apply(
-    const std::vector<std::uint8_t>& frame, bool allow_hold) {
-  Outcome out;
-  if (roll(spec_.delay)) {
-    ++counters_.delayed;
-    out.extra_delay_s += spec_.delay_s;
-  }
-  if (roll(spec_.drop)) {
-    ++counters_.dropped;
-    return out;
-  }
-  if (allow_hold && roll(spec_.reorder)) {
-    ++counters_.reordered;
-    out.held = frame;
-    out.has_held = true;
-    return out;
-  }
-  std::vector<std::uint8_t> copy = frame;
-  if (roll(spec_.truncate) && !copy.empty()) {
+std::vector<std::uint8_t> FaultInjector::apply(
+    std::vector<std::uint8_t> frame) {
+  if (roll(spec_.truncate) && !frame.empty()) {
     ++counters_.truncated;
     // Cut anywhere strictly inside the frame, header included.
-    copy.resize(rng_.uniform(copy.size()));
-  } else if (roll(spec_.bitflip) && !copy.empty()) {
+    frame.resize(rng_.uniform(frame.size()));
+  } else if (roll(spec_.bitflip) && !frame.empty()) {
     ++counters_.bitflipped;
-    const std::size_t byte = rng_.uniform(copy.size());
-    copy[byte] ^= static_cast<std::uint8_t>(1u << rng_.uniform(8));
+    const std::size_t byte = rng_.uniform(frame.size());
+    frame[byte] ^= static_cast<std::uint8_t>(1u << rng_.uniform(8));
   }
-  const bool dup = roll(spec_.duplicate);
-  if (dup) ++counters_.duplicated;
-  out.deliver.push_back(std::move(copy));
-  if (dup) out.deliver.push_back(out.deliver.front());
-  return out;
+  return frame;
 }
 
 }  // namespace primer

@@ -2,20 +2,18 @@
 //
 // The injector sits between FramedChannel::send and the underlying
 // Channel: every outgoing frame is subjected to independent probability
-// rolls for drop / reorder / duplicate / truncate / bit-flip, plus an
-// additive delivery delay.  All randomness comes from one seeded Rng, so
-// any failure a soak run finds is replayable from its seed alone.
+// rolls for the two byte-damaging faults a reliable byte stream can still
+// deliver — truncation and a bit flip.  All randomness comes from one
+// seeded Rng, so any failure a soak run finds is replayable from its seed
+// alone.  A damaged frame always surfaces as a typed retryable
+// ProtocolError at the receiver; recovery is the session layer's job
+// (checkpoint + resume), not the transport's.
 //
 // Configuration is programmatic (FaultSpec) or environment-driven:
 //
 //   PRIMER_FAULT_SEED      u64 seed (default 1)
-//   PRIMER_FAULT_DROP      P(frame silently dropped)
-//   PRIMER_FAULT_DUP       P(frame delivered twice)
-//   PRIMER_FAULT_REORDER   P(frame held back past the next same-direction send)
 //   PRIMER_FAULT_TRUNCATE  P(frame cut short at a random byte)
 //   PRIMER_FAULT_BITFLIP   P(one random bit flipped)
-//   PRIMER_FAULT_DELAY     P(extra delivery delay charged)
-//   PRIMER_FAULT_DELAY_S   seconds of extra delay when the delay roll hits
 //
 // Two deterministic (non-probabilistic) triggers model peer death and
 // peer hangs at an exact, replayable point in the protocol:
@@ -52,19 +50,14 @@
 namespace primer {
 
 // How an injected kill manifests: an in-process retryable throw (the
-// simulation the retry loops recover from), or genuine SIGKILL (nothing
+// simulation the restart loops recover from), or genuine SIGKILL (nothing
 // recovers; only fsync'd durable state survives into the next process).
 enum class FaultKillMode { kThrow, kSigkill };
 
 struct FaultSpec {
   std::uint64_t seed = 1;
-  double drop = 0.0;
-  double duplicate = 0.0;
-  double reorder = 0.0;
   double truncate = 0.0;
   double bitflip = 0.0;
-  double delay = 0.0;
-  double delay_s = 0.01;
   std::uint64_t kill_after = 0;   // kill at the Nth wire frame (0 = off)
   FaultKillMode kill_mode = FaultKillMode::kThrow;
   std::uint64_t stall_after = 0;  // stall the Nth wire frame (0 = off)
@@ -73,15 +66,14 @@ struct FaultSpec {
   std::uint64_t hostile_after = 0;  // reseal-corrupt the Nth frame (0 = off)
 
   // Probabilistic per-frame faults (the corruption path).
-  bool any_random() const {
-    return drop > 0 || duplicate > 0 || reorder > 0 || truncate > 0 ||
-           bitflip > 0 || delay > 0;
-  }
+  bool any_random() const { return truncate > 0 || bitflip > 0; }
 
-  bool any() const {
-    return any_random() || kill_after > 0 || stall_after > 0 ||
-           hostile_after > 0;
-  }
+  // The one rule every restart loop applies before the next attempt: the
+  // deterministic triggers modeled a crash, hang or hostile frame of the
+  // attempt that failed and must not fire again, and the random-fault seed
+  // advances so seeded corruption lands on different wire frames instead
+  // of the same index every attempt.
+  void prepare_restart();
 
   // Reads PRIMER_FAULT_* from the environment; unset knobs keep defaults.
   static FaultSpec from_env();
@@ -92,25 +84,12 @@ class FaultInjector {
   explicit FaultInjector(const FaultSpec& spec)
       : spec_(spec), rng_(spec.seed) {}
 
-  // What apply() decided to do with one outgoing frame.
-  struct Outcome {
-    // Frames to put on the wire now (possibly mutated copies; empty on drop
-    // or hold).  Two entries on duplication.
-    std::vector<std::vector<std::uint8_t>> deliver;
-    // Frame held back for reordering; the caller releases it after its next
-    // send in the same direction.
-    std::vector<std::uint8_t> held;
-    bool has_held = false;
-    double extra_delay_s = 0.0;
-  };
-
-  // Rolls the configured faults against `frame`.  `allow_hold` is false for
-  // retransmissions, where reordering again would defeat recovery.
-  Outcome apply(const std::vector<std::uint8_t>& frame, bool allow_hold);
+  // Rolls the configured faults against `frame` and returns it, truncated
+  // or with one bit flipped when a roll hits.
+  std::vector<std::uint8_t> apply(std::vector<std::uint8_t> frame);
 
   // Deterministic liveness triggers, evaluated once per frame that reaches
-  // the wire (retransmissions included — a real crash does not care which
-  // copy of a frame the process was sending).
+  // the wire.
   struct WireEvent {
     std::uint64_t frame_index = 0;  // 1-based wire frame counter
     bool kill = false;              // caller must abandon the process
@@ -120,21 +99,14 @@ class FaultInjector {
   };
   WireEvent on_wire_frame();
 
-  std::uint64_t wire_frames() const { return wire_frames_; }
-
   struct Counters {
-    std::uint64_t dropped = 0;
-    std::uint64_t duplicated = 0;
-    std::uint64_t reordered = 0;
     std::uint64_t truncated = 0;
     std::uint64_t bitflipped = 0;
-    std::uint64_t delayed = 0;
     std::uint64_t killed = 0;
     std::uint64_t stalled = 0;
     std::uint64_t hostile = 0;
     std::uint64_t total() const {
-      return dropped + duplicated + reordered + truncated + bitflipped +
-             delayed + killed + stalled + hostile;
+      return truncated + bitflipped + killed + stalled + hostile;
     }
   };
   const Counters& counters() const { return counters_; }

@@ -1,7 +1,7 @@
 // Typed wire framing for every protocol message.
 //
 // Raw channel messages are opaque blobs; a hostile or lossy wire can
-// truncate, corrupt, reorder or replay them and the first symptom used to
+// truncate, corrupt or replay them and the first symptom used to
 // be undefined behavior deep inside a deserializer.  Every message now
 // travels as a frame:
 //
@@ -33,8 +33,8 @@
 
 namespace primer {
 
+// Values are fixed wire and checkpoint-inventory indices; 0 is unassigned.
 enum class MessageKind : std::uint8_t {
-  kControl = 0,           // retransmit requests / acks (accounting only)
   kCiphertexts = 1,       // length-framed ciphertext batch
   kRingMatrix = 2,        // packed Z_t share matrix
   kGcTables = 3,          // garbled tables (offline)
@@ -50,12 +50,11 @@ enum class MessageKind : std::uint8_t {
   kKeyMaterial = 13,      // evaluation keys (Galois / relinearization)
 };
 
-// Number of distinct wire kinds; sized for per-kind inventory arrays.
+// One past the largest wire kind; sized for per-kind inventory arrays.
 inline constexpr std::size_t kMessageKindCount = 14;
 
 inline const char* message_kind_name(MessageKind k) {
   switch (k) {
-    case MessageKind::kControl: return "control";
     case MessageKind::kCiphertexts: return "ciphertexts";
     case MessageKind::kRingMatrix: return "ring_matrix";
     case MessageKind::kGcTables: return "gc_tables";
@@ -80,7 +79,6 @@ enum class ProtocolErrorKind {
   kChecksumMismatch,  // CRC32C over header+payload failed
   kKindMismatch,      // valid frame, but not the kind this step expects
   kSequenceGap,       // expected sequence number never arrived
-  kRetriesExhausted,  // retry/backoff gave up recovering a frame
   kMalformed,         // frame valid, payload failed structural validation
   kPeerKilled,        // fault injector killed the sending process mid-phase
   kDeadlineExceeded,  // a phase overran its deadline budget (see session.h)
@@ -98,7 +96,6 @@ inline const char* protocol_error_kind_name(ProtocolErrorKind k) {
     case ProtocolErrorKind::kChecksumMismatch: return "checksum_mismatch";
     case ProtocolErrorKind::kKindMismatch: return "kind_mismatch";
     case ProtocolErrorKind::kSequenceGap: return "sequence_gap";
-    case ProtocolErrorKind::kRetriesExhausted: return "retries_exhausted";
     case ProtocolErrorKind::kMalformed: return "malformed";
     case ProtocolErrorKind::kPeerKilled: return "peer_killed";
     case ProtocolErrorKind::kDeadlineExceeded: return "deadline_exceeded";
@@ -121,7 +118,6 @@ constexpr bool protocol_error_retryable(ProtocolErrorKind k) {
     case ProtocolErrorKind::kTruncated:
     case ProtocolErrorKind::kChecksumMismatch:
     case ProtocolErrorKind::kSequenceGap:
-    case ProtocolErrorKind::kRetriesExhausted:
     case ProtocolErrorKind::kPeerKilled:
     case ProtocolErrorKind::kDeadlineExceeded:
     case ProtocolErrorKind::kServerOverloaded:
@@ -217,7 +213,7 @@ struct FrameHeader {
   static constexpr std::size_t kCrcOffset = 20;
 
   std::uint8_t version = kVersion;
-  MessageKind kind = MessageKind::kControl;
+  MessageKind kind{};
   std::uint8_t flags = 0;
   std::uint64_t seq = 0;
   std::uint32_t payload_len = 0;
@@ -264,6 +260,10 @@ inline void reseal_frame(std::vector<std::uint8_t>& frame) {
 
 // Validates and decodes a frame header; throws ProtocolError on any defect.
 // `where` names the receiving party / expectation for actionable messages.
+// Integrity (length, CRC) is checked before identity (magic, version): any
+// wire damage — even a flipped magic byte — is a retryable truncation or
+// checksum error, while a checksum-valid frame with the wrong magic or
+// version really comes from a peer speaking another protocol (fatal).
 inline FrameHeader parse_frame(const std::vector<std::uint8_t>& frame,
                                const std::string& where) {
   if (frame.size() < FrameHeader::kWireSize) {
@@ -274,19 +274,7 @@ inline FrameHeader parse_frame(const std::vector<std::uint8_t>& frame,
                             "-byte header");
   }
   FrameHeader h;
-  std::uint32_t magic = 0;
-  std::memcpy(&magic, frame.data(), 4);
-  if (magic != FrameHeader::kMagic) {
-    throw ProtocolError(ProtocolErrorKind::kBadMagic,
-                        where + ": bad frame magic");
-  }
   h.version = frame[4];
-  if (h.version != FrameHeader::kVersion) {
-    throw ProtocolError(ProtocolErrorKind::kBadVersion,
-                        where + ": protocol version " +
-                            std::to_string(h.version) + " (expected " +
-                            std::to_string(FrameHeader::kVersion) + ")");
-  }
   h.kind = static_cast<MessageKind>(frame[FrameHeader::kKindOffset]);
   h.flags = frame[6];
   std::memcpy(&h.seq, frame.data() + FrameHeader::kSeqOffset, 8);
@@ -305,6 +293,18 @@ inline FrameHeader parse_frame(const std::vector<std::uint8_t>& frame,
                         where + ": CRC32C mismatch on " +
                             std::string(message_kind_name(h.kind)) +
                             " frame seq " + std::to_string(h.seq));
+  }
+  std::uint32_t magic = 0;
+  std::memcpy(&magic, frame.data(), 4);
+  if (magic != FrameHeader::kMagic) {
+    throw ProtocolError(ProtocolErrorKind::kBadMagic,
+                        where + ": bad frame magic");
+  }
+  if (h.version != FrameHeader::kVersion) {
+    throw ProtocolError(ProtocolErrorKind::kBadVersion,
+                        where + ": protocol version " +
+                            std::to_string(h.version) + " (expected " +
+                            std::to_string(FrameHeader::kVersion) + ")");
   }
   return h;
 }

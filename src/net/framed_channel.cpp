@@ -1,6 +1,5 @@
 #include "net/framed_channel.h"
 
-#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -9,18 +8,9 @@
 #include <string>
 #include <thread>
 
-#include "common/env.h"
 #include "common/timing.h"
 
 namespace primer {
-
-RetryPolicy RetryPolicy::from_env() {
-  RetryPolicy p;
-  p.max_attempts =
-      static_cast<int>(env_long("PRIMER_RETRY_MAX", p.max_attempts, 0, 1000));
-  p.backoff_s = env_double("PRIMER_RETRY_BACKOFF_S", p.backoff_s, 0.0, 60.0);
-  return p;
-}
 
 std::string FramedChannel::describe(Party to) const {
   std::string s;
@@ -36,9 +26,7 @@ std::string FramedChannel::describe(Party to) const {
   return s;
 }
 
-void FramedChannel::transmit(Party from, DirState& dir,
-                             std::vector<std::uint8_t> frame,
-                             bool allow_hold) {
+void FramedChannel::transmit(Party from, std::vector<std::uint8_t> frame) {
   const FaultInjector::WireEvent ev = injector_.on_wire_frame();
   if (ev.stall_s > 0) {
     ch_.add_simulated_delay(ev.stall_s);
@@ -74,7 +62,7 @@ void FramedChannel::transmit(Party from, DirState& dir,
   if (ev.kill) {
     if (injector_.spec().kill_mode == FaultKillMode::kSigkill) {
       // Real process death, not a simulation: SIGKILL cannot be caught, so
-      // nothing below this point — destructors, retry loops, the in-memory
+      // nothing below this point — destructors, restart loops, the in-memory
       // store — gets a chance to run.  Only what the durable store already
       // fsync'd survives.  Deterministic because the wire-frame counter is.
       std::raise(SIGKILL);
@@ -85,17 +73,8 @@ void FramedChannel::transmit(Party from, DirState& dir,
             " process killed at wire frame " + std::to_string(ev.frame_index) +
             " (PRIMER_FAULT_KILL_AFTER)");
   }
-  if (!injector_.spec().any_random()) {
-    ch_.send(from, std::move(frame));
-    return;
-  }
-  FaultInjector::Outcome out = injector_.apply(frame, allow_hold);
-  ch_.add_simulated_delay(out.extra_delay_s);
-  for (auto& f : out.deliver) ch_.send(from, std::move(f));
-  if (out.has_held) {
-    dir.held = std::move(out.held);
-    dir.has_held = true;
-  }
+  if (injector_.spec().any_random()) frame = injector_.apply(std::move(frame));
+  ch_.send(from, std::move(frame));
 }
 
 void FramedChannel::send(Party from, MessageKind kind,
@@ -106,8 +85,7 @@ void FramedChannel::send(Party from, MessageKind kind,
                             " bytes exceeds the u32 length field");
   }
   const int fi = static_cast<int>(from);
-  DirState& dir = dir_[fi];
-  const std::uint64_t seq = dir.next_send_seq++;
+  const std::uint64_t seq = dir_[fi].next_send_seq++;
   std::vector<std::uint8_t> frame = encode_frame(kind, seq, payload, n);
   std::uint32_t crc = 0;
   std::memcpy(&crc, frame.data() + FrameHeader::kCrcOffset, 4);
@@ -141,25 +119,7 @@ void FramedChannel::send(Party from, MessageKind kind,
     ch_.deliver_local(from, std::move(frame));
     return;
   }
-
-  // A frame the injector held back is released only after the *next* send
-  // in the same direction — that is what makes it a reordering.
-  std::vector<std::uint8_t> release;
-  bool has_release = dir.has_held;
-  if (has_release) {
-    release = std::move(dir.held);
-    dir.has_held = false;
-  }
-
-  if (injector_.spec().any()) {
-    // Keep a pristine copy for retransmission; delivery prunes it.
-    dir.unacked.emplace(seq, frame);
-    if (dir.unacked.size() > kUnackedCap) {
-      dir.unacked.erase(dir.unacked.begin());
-    }
-  }
-  transmit(from, dir, std::move(frame), /*allow_hold=*/true);
-  if (has_release) ch_.send(from, std::move(release));
+  transmit(from, std::move(frame));
 }
 
 void FramedChannel::begin_session(std::uint64_t session_id,
@@ -167,13 +127,10 @@ void FramedChannel::begin_session(std::uint64_t session_id,
                                   const ReplayPlan& plan) {
   session_id_ = session_id;
   epoch_ = epoch;
-  // Drain handshake residue (duplicates / reordered copies still queued):
-  // their old sequence numbers would collide with the reset space.
+  // Drop anything still queued: its old sequence numbers would collide
+  // with the reset space.
   for (Party p : {Party::kClient, Party::kServer}) {
-    while (ch_.has_pending(p)) {
-      ch_.recv(p);
-      ++stats_.duplicates_dropped;
-    }
+    while (ch_.has_pending(p)) ch_.recv(p);
   }
   for (int d = 0; d < 2; ++d) {
     dir_[d] = DirState{};
@@ -189,135 +146,36 @@ void FramedChannel::begin_session(std::uint64_t session_id,
   plan_ = plan;
 }
 
-std::vector<std::uint8_t> FramedChannel::deliver(
-    Party to, DirState& dir, std::uint64_t seq, MessageKind kind,
-    std::vector<std::uint8_t> payload, MessageKind expect,
-    const std::string& where) {
-  if (kind != expect) {
-    throw ProtocolError(ProtocolErrorKind::kKindMismatch,
-                        where + ": frame seq " + std::to_string(seq) +
-                            " carries " + message_kind_name(kind) +
-                            ", expected " + message_kind_name(expect));
-  }
-  dir.next_recv_seq = seq + 1;
-  // In-order delivery is an implicit ack for everything up to `seq`.
-  dir.unacked.erase(dir.unacked.begin(), dir.unacked.upper_bound(seq));
-  ++stats_.frames_delivered;
-  ++kind_counts_[static_cast<int>(to)][static_cast<std::size_t>(kind)];
-  return payload;
-}
-
-void FramedChannel::request_retransmit(Party to, DirState& dir,
-                                       std::uint64_t want, int attempt) {
-  ++stats_.retry_rounds;
-  // The receiver's retransmit request is a header-sized control frame; it
-  // is charged to the cost model (bytes + flight pattern) but never
-  // enqueued — the in-process peer must not misread it as data.
-  ch_.charge_control(to, FrameHeader::kWireSize);
-  stats_.control_bytes += FrameHeader::kWireSize;
-  double backoff = policy_.backoff_s;
-  for (int r = 1; r < attempt && backoff < policy_.backoff_max_s; ++r) {
-    backoff *= 2.0;
-  }
-  ch_.add_simulated_delay(std::min(backoff, policy_.backoff_max_s));
-
-  // Resend every pristine frame at or past the gap that is not already
-  // stashed.  Retransmissions re-roll the injector but are never held for
-  // reordering — holding a recovery frame would defeat recovery.
-  const Party from = other(to);
-  for (const auto& [seq, frame] : dir.unacked) {
-    if (seq < want || dir.stash.count(seq) != 0) continue;
-    ++stats_.retransmit_frames;
-    stats_.retransmit_bytes += frame.size();
-    transmit(from, dir, frame, /*allow_hold=*/false);
-  }
-}
-
 std::vector<std::uint8_t> FramedChannel::recv_expect(Party to,
                                                      MessageKind expect) {
   DirState& dir = dir_[static_cast<int>(other(to))];
-  const std::string where =
-      describe(to) + " awaiting " + message_kind_name(expect);
-  int attempts = 0;
-  for (int iter = 0; iter < kMaxLoopIters; ++iter) {
-    const std::uint64_t want = dir.next_recv_seq;
-    if (deadline_ != nullptr) {
-      deadline_->check(where + " (seq " + std::to_string(want) + ")");
-    }
-
-    auto stashed = dir.stash.find(want);
-    if (stashed != dir.stash.end()) {
-      MessageKind kind = stashed->second.first;
-      std::vector<std::uint8_t> payload = std::move(stashed->second.second);
-      dir.stash.erase(stashed);
-      return deliver(to, dir, want, kind, std::move(payload), expect, where);
-    }
-
-    if (ch_.has_pending(to)) {
-      std::vector<std::uint8_t> frame = ch_.recv(to);
-      FrameHeader h;
-      try {
-        h = parse_frame(frame,
-                        where + " (expected seq " + std::to_string(want) + ")");
-      } catch (const ProtocolError&) {
-        ++stats_.parse_failures;
-        if (policy_.max_attempts == 0) throw;
-        if (++attempts > policy_.max_attempts) {
-          throw ProtocolError(
-              ProtocolErrorKind::kRetriesExhausted,
-              where + ": gave up on frame seq " + std::to_string(want) +
-                  " after " + std::to_string(policy_.max_attempts) +
-                  " retransmit rounds (last frame unparseable)");
-        }
-        request_retransmit(to, dir, want, attempts);
-        continue;
-      }
-      if (h.seq < want) {
-        // Duplicate or replayed frame.
-        if (policy_.max_attempts == 0) {
-          throw ProtocolError(ProtocolErrorKind::kSequenceGap,
-                              where + ": replayed " +
-                                  message_kind_name(h.kind) + " frame seq " +
-                                  std::to_string(h.seq) + " (expected seq " +
-                                  std::to_string(want) + ")");
-        }
-        ++stats_.duplicates_dropped;
-        continue;
-      }
-      std::vector<std::uint8_t> payload(frame.begin() + FrameHeader::kWireSize,
-                                        frame.end());
-      if (h.seq > want) {
-        dir.stash.emplace(h.seq,
-                          std::make_pair(h.kind, std::move(payload)));
-        continue;
-      }
-      return deliver(to, dir, want, h.kind, std::move(payload), expect, where);
-    }
-
-    // Nothing on the wire and the expected frame is not stashed: either a
-    // drop (recoverable from the pristine buffer) or the sender truly
-    // never sent it.
-    const bool can_retransmit = dir.unacked.lower_bound(want) != dir.unacked.end();
-    if (policy_.max_attempts == 0 || !can_retransmit) {
-      throw ProtocolError(ProtocolErrorKind::kSequenceGap,
-                          where + ": no pending frame (expected seq " +
-                              std::to_string(want) + ")");
-    }
-    if (attempts >= policy_.max_attempts) {
-      throw ProtocolError(ProtocolErrorKind::kRetriesExhausted,
-                          where + ": frame seq " + std::to_string(want) +
-                              " not recovered after " +
-                              std::to_string(attempts) +
-                              " retransmit rounds");
-    }
-    ++attempts;
-    request_retransmit(to, dir, want, attempts);
+  const std::uint64_t want = dir.next_recv_seq;
+  const std::string where = describe(to) + " awaiting " +
+                            message_kind_name(expect) + " (seq " +
+                            std::to_string(want) + ")";
+  if (deadline_ != nullptr) deadline_->check(where);
+  if (!ch_.has_pending(to)) {
+    throw ProtocolError(ProtocolErrorKind::kSequenceGap,
+                        where + ": no pending frame");
   }
-  throw ProtocolError(ProtocolErrorKind::kRetriesExhausted,
-                      where + ": transport loop guard tripped after " +
-                          std::to_string(kMaxLoopIters) +
-                          " iterations (expected seq " +
-                          std::to_string(dir.next_recv_seq) + ")");
+  const std::vector<std::uint8_t> frame = ch_.recv(to);
+  const FrameHeader h = parse_frame(frame, where);
+  if (h.seq != want) {
+    throw ProtocolError(ProtocolErrorKind::kSequenceGap,
+                        where + ": got " + message_kind_name(h.kind) +
+                            " frame seq " + std::to_string(h.seq) +
+                            (h.seq < want ? " (replayed)" : " (frames lost)"));
+  }
+  if (h.kind != expect) {
+    throw ProtocolError(ProtocolErrorKind::kKindMismatch,
+                        where + ": frame carries " +
+                            message_kind_name(h.kind));
+  }
+  dir.next_recv_seq = want + 1;
+  ++stats_.frames_delivered;
+  ++kind_counts_[static_cast<int>(to)][static_cast<std::size_t>(h.kind)];
+  return std::vector<std::uint8_t>(frame.begin() + FrameHeader::kWireSize,
+                                   frame.end());
 }
 
 }  // namespace primer

@@ -1,4 +1,4 @@
-// FramedChannel: typed, integrity-checked, fault-tolerant transport.
+// FramedChannel: typed, integrity-checked transport.
 //
 // Wraps the raw simulated Channel so that every protocol message travels
 // as a checksummed frame (net/frame.h) with a per-direction sequence
@@ -8,16 +8,15 @@
 //   * the payload bytes, bit-identical to what the sender framed, or
 //   * a typed ProtocolError naming the receiving party, the expected kind
 //     and the precise failure (truncation, checksum, kind mismatch,
-//     sequence gap, retries exhausted).
+//     sequence gap).
 //
-// A seeded FaultInjector (net/fault.h) can corrupt outgoing frames; the
-// bounded retry layer recovers from drops, duplicates and reorderings:
-// the receiver detects a gap, charges a control-frame "retransmit
-// request" to the cost model, backs off exponentially in simulated time,
-// and the pristine copy is resent from the per-direction retransmission
-// buffer.  Corruption (truncation / bit-flips) is unrecoverable by design
-// — the pristine buffer is only consulted for frames that never arrived —
-// and surfaces as a typed error instead.
+// The transport never repairs a frame.  A missing, truncated, bit-flipped
+// or out-of-sequence frame throws a retryable ProtocolError, and the
+// session layer recovers: the restart loop (PrimerEngine::run_resilient,
+// PrimerServer) re-runs the attempt, the resume handshake agrees on the
+// last common checkpoint, and only the frames past it cross the wire
+// again.  A seeded FaultInjector (net/fault.h) can damage outgoing frames
+// to exercise exactly that path.
 //
 // Both parties run in-process, so one FramedChannel instance carries both
 // directions; anything that shares the underlying Channel must share the
@@ -25,9 +24,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "net/channel.h"
@@ -37,24 +34,18 @@
 
 namespace primer {
 
-struct RetryPolicy {
-  // Retransmit rounds per recv_expect before giving up.  Zero disables
-  // recovery entirely: the first defect throws — corruption-matrix mode.
-  int max_attempts = 8;
-  double backoff_s = 0.0005;      // first retry backoff (simulated seconds)
-  double backoff_max_s = 0.05;    // exponential backoff ceiling
-
-  // Reads PRIMER_RETRY_MAX / PRIMER_RETRY_BACKOFF_S; unset keeps defaults.
-  static RetryPolicy from_env();
-};
+// Empty on purpose: the transport has no retry layer.  The type survives
+// only so callers that still pass one — bench/e2e/primer_bench.cpp builds
+// FramedChannel(ch, FaultSpec{}, RetryPolicy{}) — keep compiling; the
+// three-argument constructor ignores it.
+struct RetryPolicy {};
 
 class FramedChannel {
  public:
-  explicit FramedChannel(Channel& ch)
-      : FramedChannel(ch, FaultSpec::from_env(), RetryPolicy::from_env()) {}
-
-  FramedChannel(Channel& ch, const FaultSpec& faults, const RetryPolicy& retry)
-      : ch_(ch), policy_(retry), injector_(faults) {}
+  FramedChannel(Channel& ch, const FaultSpec& faults)
+      : ch_(ch), injector_(faults) {}
+  FramedChannel(Channel& ch, const FaultSpec& faults, const RetryPolicy&)
+      : FramedChannel(ch, faults) {}
 
   void send(Party from, MessageKind kind, const std::uint8_t* payload,
             std::size_t n);
@@ -63,8 +54,9 @@ class FramedChannel {
     send(from, kind, payload.data(), payload.size());
   }
 
-  // Blocks (logically) until the next in-sequence frame for `to` is
-  // recovered, verifies it carries `expect`, and returns its payload.
+  // Takes the next frame queued for `to`, verifies its integrity, that it
+  // is the next in sequence and that it carries `expect`, and returns its
+  // payload; any defect throws a typed ProtocolError.
   std::vector<std::uint8_t> recv_expect(Party to, MessageKind expect);
 
   // --- session resilience -------------------------------------------------
@@ -84,9 +76,9 @@ class FramedChannel {
   };
 
   // Starts (or restarts) a session attempt after the resume handshake:
-  // resets both per-direction sequence spaces to zero, drains stale wire
-  // residue, clears and enables the CRC journal, and installs the replay
-  // plan.  Handshake traffic itself runs before this call and is therefore
+  // resets both per-direction sequence spaces to zero, drops any frame
+  // still queued, clears and enables the CRC journal, and installs the
+  // replay plan.  Handshake traffic itself runs before this call and is therefore
   // neither journaled nor sequence-coupled to protocol frames.
   void begin_session(std::uint64_t session_id, std::uint32_t epoch,
                      const ReplayPlan& plan);
@@ -120,13 +112,7 @@ class FramedChannel {
   struct Stats {
     std::uint64_t frames_sent = 0;
     std::uint64_t frames_delivered = 0;
-    std::uint64_t framing_bytes = 0;      // header overhead on the wire
-    std::uint64_t retransmit_frames = 0;  // frames resent by the retry layer
-    std::uint64_t retransmit_bytes = 0;
-    std::uint64_t control_bytes = 0;      // retransmit-request traffic
-    std::uint64_t retry_rounds = 0;
-    std::uint64_t duplicates_dropped = 0;
-    std::uint64_t parse_failures = 0;
+    std::uint64_t framing_bytes = 0;    // header overhead on the wire
     std::uint64_t replayed_frames = 0;  // checkpoint-covered virtual sends
     std::uint64_t replayed_bytes = 0;   // bytes those sends did not re-pay
   };
@@ -134,11 +120,6 @@ class FramedChannel {
   const FaultInjector::Counters& fault_counters() const {
     return injector_.counters();
   }
-  const FaultSpec& fault_spec() const { return injector_.spec(); }
-  const RetryPolicy& retry_policy() const { return policy_; }
-
-  void set_fault_spec(const FaultSpec& spec) { injector_ = FaultInjector(spec); }
-  void set_retry_policy(const RetryPolicy& p) { policy_ = p; }
 
   // Escape hatch for tests that need to place hand-crafted frames on the
   // wire, and for accounting-only callers.
@@ -149,38 +130,15 @@ class FramedChannel {
   struct DirState {
     std::uint64_t next_send_seq = 0;
     std::uint64_t next_recv_seq = 0;
-    // Pristine frames not yet known-delivered, by seq (retransmission
-    // source).  Only populated while fault injection is active.
-    std::map<std::uint64_t, std::vector<std::uint8_t>> unacked;
-    // Valid frames that arrived ahead of the expected sequence number.
-    std::map<std::uint64_t,
-             std::pair<MessageKind, std::vector<std::uint8_t>>>
-        stash;
-    // Frame held back by the injector, released after the next send in
-    // this direction (reordering).
-    std::vector<std::uint8_t> held;
-    bool has_held = false;
   };
-
-  static constexpr std::size_t kUnackedCap = 128;
-  static constexpr int kMaxLoopIters = 4096;
 
   // Error-string prefix: session id + epoch (when a session is attached)
   // and the transfer direction, e.g. "sess 1f3a#2 server<-client".
   std::string describe(Party to) const;
 
-  void transmit(Party from, DirState& dir, std::vector<std::uint8_t> frame,
-                bool allow_hold);
-  std::vector<std::uint8_t> deliver(Party to, DirState& dir,
-                                    std::uint64_t seq, MessageKind kind,
-                                    std::vector<std::uint8_t> payload,
-                                    MessageKind expect,
-                                    const std::string& where);
-  void request_retransmit(Party to, DirState& dir, std::uint64_t want,
-                          int attempt);
+  void transmit(Party from, std::vector<std::uint8_t> frame);
 
   Channel& ch_;
-  RetryPolicy policy_;
   FaultInjector injector_;
   DirState dir_[2];  // indexed by sending party
   Stats stats_;

@@ -20,7 +20,7 @@
 //     send whose sequence number lies below the agreed watermark is
 //     verified against the journaled CRC and delivered locally without
 //     touching the wire ("virtual replay") — the peer already holds those
-//     bytes — so only the delta past the checkpoint is retransmitted, and
+//     bytes — so only the delta past the checkpoint is sent again, and
 //     the resumed run is bit-identical to an unfaulted one.
 //
 // Checkpoints deliberately persist *transport* state plus integrity

@@ -66,8 +66,6 @@ void summarize_costs(PrimerRunResult& result, const ProtocolContext& pc) {
   result.online_cpu_s = on_total.cpu_seconds;
   result.total_bytes = pc.channel.total_bytes();
   result.rounds = pc.channel.flights();
-  result.retransmits = pc.framed.stats().retransmit_frames;
-  result.retransmit_bytes = pc.framed.stats().retransmit_bytes;
   result.replayed_frames = pc.framed.stats().replayed_frames;
   result.replayed_bytes = pc.framed.stats().replayed_bytes;
   result.frames_sent = pc.framed.stats().frames_sent;
@@ -142,10 +140,7 @@ PrimerRunResult PrimerEngine::run_resilient(
   std::uint64_t prior_bytes = 0;
   auto note_retryable_failure = [&] {
     if (last_partial_ != nullptr) prior_bytes += last_partial_->total_bytes;
-    // Injected kill/stall triggers model a crash of THAT attempt; the
-    // restarted process must not trip over the same trigger again.
-    opts.faults.kill_after = 0;
-    opts.faults.stall_after = 0;
+    opts.faults.prepare_restart();
     ++restarts;
   };
   for (;;) {

@@ -40,11 +40,8 @@ struct PrimerRunResult {
   double online_cpu_s = 0;
   std::uint64_t total_bytes = 0;
   std::uint64_t rounds = 0;
-  // Transport robustness telemetry: frames resent by the retry layer (plus
-  // their bytes, charged to total_bytes already) and the smallest estimated
-  // noise budget any decryption ran with (+inf if nothing was decrypted).
-  std::uint64_t retransmits = 0;
-  std::uint64_t retransmit_bytes = 0;
+  // Smallest estimated noise budget any decryption ran with (+inf if
+  // nothing was decrypted).
   double min_noise_margin_bits = 0;
   // GC nonlinear-layer totals across all stages of the run: AND gates
   // garbled, garble/eval compute split (wall + aggregate CPU), achieved
@@ -107,12 +104,14 @@ class PrimerEngine {
 
   // One private inference with session resilience: checkpoints are persisted
   // into `store` at phase boundaries, and on a retryable transport failure
-  // (peer kill, deadline, retries exhausted, cancellation) the protocol is
-  // re-attempted — resuming from the last common checkpoint via the
-  // kSessionHello/kSessionResume handshake, with the checkpoint-covered
+  // (damaged or missing frame, peer kill, deadline, cancellation) the
+  // protocol is re-attempted — resuming from the last common checkpoint via
+  // the kSessionHello/kSessionResume handshake, with the checkpoint-covered
   // frame prefix replayed at zero wire cost.  Fatal errors and attempts
-  // beyond `max_restarts` rethrow; injected kill/stall triggers fire only on
-  // the first attempt.  The result is bit-identical to an unfaulted run().
+  // beyond `max_restarts` rethrow; each restart applies
+  // FaultSpec::prepare_restart (one-shot triggers fire only on the first
+  // attempt, random faults re-seed).  The result is bit-identical to an
+  // unfaulted run().
   PrimerRunResult run_resilient(const std::vector<std::size_t>& tokens,
                                 SessionStore& store, int max_restarts = 5);
 

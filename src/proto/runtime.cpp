@@ -15,7 +15,6 @@ constexpr std::size_t kMaxGaloisKeys = 4096;
 SessionOptions SessionOptions::from_env() {
   SessionOptions o;
   o.faults = FaultSpec::from_env();
-  o.retry = RetryPolicy::from_env();
   o.phase_deadline_s =
       env_double("PRIMER_PHASE_DEADLINE_S", 0.0, 0.0, 86400.0);
   return o;
@@ -35,7 +34,7 @@ ProtocolContext::ProtocolContext(HeProfile profile, std::uint64_t seed,
       gk(keygen.make_galois_keys(rotation_steps)),
       rk(keygen.make_relin_key()),
       session(std::move(options)),
-      framed(channel, session.faults, session.retry),
+      framed(channel, session.faults),
       ring(he.t()) {
   // Parameter fingerprint for the resume handshake: a peer with a
   // different profile, modulus chain or seed is a different session.
@@ -72,7 +71,6 @@ void ProtocolContext::step(const std::string& phase,
   }
   const auto net_before = channel.snapshot();
   const HeOpCounters he_before = eval.counters();
-  const FramedChannel::Stats framed_before = framed.stats();
   dec.take_min_margin();  // reset so the step sees only its own margins
   CpuWallTimer timer;
   fn();
@@ -90,9 +88,6 @@ void ProtocolContext::step(const std::string& phase,
   cost.he_ct_mults += now.ct_mults - he_before.ct_mults;
   cost.he_rotations += now.rotations - he_before.rotations;
   cost.he_adds += now.adds - he_before.adds;
-  const FramedChannel::Stats& fr = framed.stats();
-  cost.retransmits += fr.retransmit_frames - framed_before.retransmit_frames;
-  cost.retransmit_bytes += fr.retransmit_bytes - framed_before.retransmit_bytes;
   cost.min_noise_margin_bits =
       std::min(cost.min_noise_margin_bits, dec.take_min_margin());
 }

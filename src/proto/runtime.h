@@ -27,15 +27,14 @@
 
 namespace primer {
 
-// Configuration of one protocol session attempt: the transport's fault and
-// retry knobs plus the resilience layer (checkpoint store, deadlines,
+// Configuration of one protocol session attempt: the transport's fault
+// knobs plus the resilience layer (checkpoint store, deadlines,
 // cooperative cancellation).  A null store disables checkpointing, the
 // resume handshake and journaling — the pre-session behavior.
 struct SessionOptions {
   SessionStore* store = nullptr;
   std::uint64_t session_id = 1;
   FaultSpec faults;
-  RetryPolicy retry;
   // Per-phase budget in simulated-network + wall seconds (0 disables);
   // checked at frame and step granularity.  PRIMER_PHASE_DEADLINE_S.
   double phase_deadline_s = 0.0;
@@ -51,7 +50,7 @@ struct SessionOptions {
   // resume from, so the run is allowed to finish).
   const std::atomic<bool>* drain = nullptr;
 
-  // Faults and retry from PRIMER_FAULT_* / PRIMER_RETRY_*, deadline from
+  // Faults from PRIMER_FAULT_*, deadline from
   // PRIMER_PHASE_DEADLINE_S; no store or cancellation.  Malformed values
   // throw std::invalid_argument, out-of-range values clamp (common/env.h).
   static SessionOptions from_env();
@@ -82,8 +81,8 @@ class ProtocolContext {
   // frame) and step() (every protocol step).
   SimDeadline deadline;
   // All protocol traffic (HE, shares, GC, OT) flows through this one framed
-  // wrapper: a single pair of per-direction sequence spaces, fault
-  // injection and retry policy from SessionOptions.
+  // wrapper: a single pair of per-direction sequence spaces, with fault
+  // injection from SessionOptions.
   FramedChannel framed;
   ShareRing ring;
   CostAccumulator costs;

@@ -200,7 +200,6 @@ void PrimerServer::serve(const std::shared_ptr<SessionTicket>& t) {
   opts.store = lease.store;
   opts.session_id = t->req_.client_id;
   opts.faults = t->req_.faults;
-  opts.retry = t->req_.retry;
   opts.phase_deadline_s = cfg_.phase_deadline_s;
   opts.cancel = &t->cancel_;
   opts.progress = &t->progress_;
@@ -267,11 +266,7 @@ void PrimerServer::serve(const std::shared_ptr<SessionTicket>& t) {
       out.error = e.what();
       break;
     }
-    // Retrying: deterministic one-shot triggers already fired; clearing
-    // them models the fault not recurring on the fresh attempt.
-    opts.faults.kill_after = 0;
-    opts.faults.stall_after = 0;
-    opts.faults.hostile_after = 0;
+    opts.faults.prepare_restart();
   }
   if (out.checkpoint_epoch == 0) out.checkpoint_epoch = t->progress_.epoch();
   out.restarts = restarts;

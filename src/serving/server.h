@@ -82,10 +82,9 @@ struct InferenceRequest {
   std::uint64_t client_id = 0;  // nonzero; doubles as the wire session id
   std::size_t model = 0;        // index into the hosted model list
   std::vector<std::size_t> tokens;
-  // Per-session injected faults + retry knobs (tests and chaos soaks give
-  // each tenant its own failure script; production leaves these default).
+  // Per-session injected faults (tests and chaos soaks give each tenant its
+  // own failure script; production leaves this default).
   FaultSpec faults;
-  RetryPolicy retry;
 };
 
 enum class SessionStatus {

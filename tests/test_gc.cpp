@@ -281,7 +281,7 @@ TEST(GcSession, TwoPartyAddModT) {
   const Circuit circ = b.build();
 
   Channel ch;
-  FramedChannel fch(ch, FaultSpec{}, RetryPolicy{});
+  FramedChannel fch(ch, FaultSpec{});
   Rng rng(77);
   GcSession session(fch, rng);
   session.offline(circ, RevealTo::kBoth);
@@ -299,7 +299,7 @@ TEST(GcSession, RevealToGarblerOnly) {
   b.set_outputs(b.add(a, c));
   const Circuit circ = b.build();
   Channel ch;
-  FramedChannel fch(ch, FaultSpec{}, RetryPolicy{});
+  FramedChannel fch(ch, FaultSpec{});
   Rng rng(79);
   GcSession session(fch, rng);
   session.offline(circ, RevealTo::kGarbler);
@@ -309,7 +309,7 @@ TEST(GcSession, RevealToGarblerOnly) {
 
 TEST(GcSession, OnlineBeforeOfflineThrows) {
   Channel ch;
-  FramedChannel fch(ch, FaultSpec{}, RetryPolicy{});
+  FramedChannel fch(ch, FaultSpec{});
   Rng rng(1);
   GcSession session(fch, rng);
   EXPECT_THROW(session.online({}, {}), std::logic_error);
@@ -321,7 +321,7 @@ TEST(GcSession, ChannelAccountsGarbledTables) {
   b.set_outputs(b.mul(a, c, 16));
   const Circuit circ = b.build();
   Channel ch;
-  FramedChannel fch(ch, FaultSpec{}, RetryPolicy{});
+  FramedChannel fch(ch, FaultSpec{});
   Rng rng(83);
   GcSession session(fch, rng);
   const auto before = ch.total_bytes();
@@ -478,7 +478,7 @@ TEST(GcSession, StreamedMatchesMonolithic) {
 
   auto run = [&](TableTransfer transfer, std::size_t chunk_rows) {
     Channel ch;
-    FramedChannel fch(ch, FaultSpec{}, RetryPolicy{});
+    FramedChannel fch(ch, FaultSpec{});
     Rng rng(123);
     GcSession session(fch, rng);
     session.set_table_transfer(transfer);

@@ -111,7 +111,7 @@ TEST(GcParallel, SessionOutputsInvariantAcrossThreadCountsAndTransfers) {
     auto run = [&](std::size_t threads, TableTransfer transfer) {
       ThreadGuard guard(threads);
       Channel ch;
-      FramedChannel fch(ch, FaultSpec{}, RetryPolicy{});
+      FramedChannel fch(ch, FaultSpec{});
       Rng rng(5555);
       GcSession session(fch, rng);
       session.set_table_transfer(transfer);

@@ -228,7 +228,6 @@ TEST(Serving, EvictsLongestStalledUnderPressure) {
   wedged.faults.stall_after = 20;
   wedged.faults.stall_s = 0.0;
   wedged.faults.stall_wall_s = 30.0;
-  wedged.retry.max_attempts = 0;  // no retry layer to muddy the eviction
   auto t1 = server.submit(std::move(wedged));
 
   // Let it start and visibly stall past the grace period.

@@ -241,8 +241,8 @@ TEST(ErrorTaxonomy, RetryableVersusFatal) {
   // Transient wire damage and timeouts are retryable...
   for (const ProtocolErrorKind k :
        {ProtocolErrorKind::kTruncated, ProtocolErrorKind::kChecksumMismatch,
-        ProtocolErrorKind::kSequenceGap, ProtocolErrorKind::kRetriesExhausted,
-        ProtocolErrorKind::kPeerKilled, ProtocolErrorKind::kDeadlineExceeded,
+        ProtocolErrorKind::kSequenceGap, ProtocolErrorKind::kPeerKilled,
+        ProtocolErrorKind::kDeadlineExceeded,
         ProtocolErrorKind::kServerOverloaded}) {
     EXPECT_TRUE(protocol_error_retryable(k)) << protocol_error_kind_name(k);
   }

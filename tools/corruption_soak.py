@@ -3,21 +3,21 @@
 
 Usage:
   corruption_soak.py BUILD_DIR [--seeds 25] [--start 1]
-                     [--drop P] [--dup P] [--reorder P]
-                     [--truncate P] [--bitflip P] [--delay P]
-                     [--json-out FILE]
+                     [--truncate P] [--bitflip P] [--json-out FILE]
 
-For every seed the seeded soak test (RetryLayer.SeededSoakGcSessionNeverCrashes
-in test_failure_injection) runs a full garbled-circuit session over a
-FramedChannel with the fault injector driven by PRIMER_FAULT_* — each run
-must either recover the exact result or surface a typed ProtocolError;
-crashes, hangs, and silent wrong answers fail the soak.
+For every seed the seeded soak test
+(ResumeRecovery.SeededSoakGcSessionExactOrRetryable in test_failure_injection)
+runs a full garbled-circuit session over a FramedChannel with the fault
+injector driven by PRIMER_FAULT_* — each run must either return the exact
+result or surface a typed retryable ProtocolError (what a restart loop
+resumes from); crashes, hangs, fatal errors and silent wrong answers fail
+the soak.
 
-The probabilities default to the test's built-in mix (drop/dup/reorder 0.1,
-truncate/bitflip 0.03, delay 0.05); pass flags to override.  Deterministic
-per seed, so a failing seed reproduces with:
+The probabilities default to the test's built-in mix (truncate/bitflip
+0.03); pass flags to override.  Deterministic per seed, so a failing seed
+reproduces with:
   PRIMER_FAULT_SEED=<seed> ./test_failure_injection \
-      --gtest_filter='RetryLayer.SeededSoakGcSessionNeverCrashes'
+      --gtest_filter='ResumeRecovery.SeededSoakGcSessionExactOrRetryable'
 """
 
 import argparse
@@ -27,8 +27,9 @@ import soaklib
 
 TOOL = "corruption_soak"
 TEST_BINARY = "test_failure_injection"
-TEST_FILTER = "RetryLayer.SeededSoakGcSessionNeverCrashes"
-PER_RUN_TIMEOUT_S = 120  # a hung retry loop must fail the soak, not the CI job
+TEST_FILTER = "ResumeRecovery.SeededSoakGcSessionExactOrRetryable"
+KNOBS = ("truncate", "bitflip")
+PER_RUN_TIMEOUT_S = 120  # a hung session must fail the soak, not the CI job
 
 
 def main():
@@ -36,7 +37,7 @@ def main():
     ap.add_argument("build_dir")
     ap.add_argument("--seeds", type=int, default=25)
     ap.add_argument("--start", type=int, default=1)
-    for knob in ("drop", "dup", "reorder", "truncate", "bitflip", "delay"):
+    for knob in KNOBS:
         ap.add_argument(f"--{knob}", type=float, default=None)
     ap.add_argument("--json-out", default=None,
                     help="write a machine-readable JSON summary artifact here")
@@ -48,13 +49,10 @@ def main():
 
     # The test falls back to its built-in mix only when NO fault knob is
     # set, so a partial override must pin the rest of the mix explicitly.
-    overrides = {k: getattr(args, k)
-                 for k in ("drop", "dup", "reorder", "truncate", "bitflip",
-                           "delay")
+    overrides = {k: getattr(args, k) for k in KNOBS
                  if getattr(args, k) is not None}
     if overrides:
-        mix = {"drop": 0.1, "dup": 0.1, "reorder": 0.1,
-               "truncate": 0.03, "bitflip": 0.03, "delay": 0.05}
+        mix = {"truncate": 0.03, "bitflip": 0.03}
         mix.update(overrides)
     else:
         mix = {}  # let the test use its built-in defaults
