@@ -92,6 +92,11 @@ const CircuitLayers& Circuit::layers() const {
   return *layers_;
 }
 
+std::shared_ptr<const Circuit> share_layered(Circuit c) {
+  c.layers();
+  return std::make_shared<const Circuit>(std::move(c));
+}
+
 std::vector<bool> eval_circuit(const Circuit& c,
                                const std::vector<bool>& inputs) {
   if (static_cast<std::int32_t>(inputs.size()) != c.num_inputs) {

@@ -88,13 +88,18 @@ struct Circuit {
 
   // Topological AND-depth layering, computed once per circuit and shared
   // by copies.  Not thread-safe on first call: compute before handing the
-  // same Circuit object to concurrent users (garble/eval call it up front,
-  // outside their parallel regions).
+  // same Circuit object to concurrent users (share_layered() does; garble
+  // and eval call it up front, outside their parallel regions).
   const CircuitLayers& layers() const;
 
  private:
   mutable std::shared_ptr<const CircuitLayers> layers_;
 };
+
+// Layers `c` and publishes it as an immutable shared circuit.  Its
+// layers() is already computed, so any number of threads may garble and
+// evaluate it at once.
+std::shared_ptr<const Circuit> share_layered(Circuit c);
 
 // Plain (non-garbled) evaluation — the reference semantics every garbling
 // test checks against.

@@ -108,12 +108,13 @@ TableTransfer GcSession::default_table_transfer() {
   return TableTransfer::kStreamed;
 }
 
-void GcSession::offline(const Circuit& circuit, RevealTo reveal) {
-  circuit_ = circuit;
+void GcSession::offline(std::shared_ptr<const Circuit> circuit,
+                        RevealTo reveal) {
+  circuit_ = std::move(circuit);
   reveal_ = reveal;
   // Layering is computed before the timed region starts so garble and eval
   // share one cached copy (and the parallel regions never race on it).
-  const CircuitLayers& lay = circuit_.layers();
+  const CircuitLayers& lay = circuit_->layers();
   const std::size_t total_rows = 2 * lay.and_count;
 
   CpuWallTimer timer;
@@ -124,7 +125,7 @@ void GcSession::offline(const Circuit& circuit, RevealTo reveal) {
     // sink call (row_end == total_rows) always flushes.
     std::size_t sent = 0;
     gc_ = garbler.garble(
-        circuit_, [&](const Label* rows, std::size_t, std::size_t row_end) {
+        *circuit_, [&](const Label* rows, std::size_t, std::size_t row_end) {
           if (row_end != total_rows && row_end - sent < stream_chunk_rows_) {
             return;  // defer: not enough final rows for a chunk yet
           }
@@ -137,7 +138,7 @@ void GcSession::offline(const Circuit& circuit, RevealTo reveal) {
           sent = row_end;
         });
   } else {
-    gc_ = garbler.garble(circuit_);
+    gc_ = garbler.garble(*circuit_);
   }
   stats_.garble_seconds += timer.wall_seconds();
   stats_.garble_cpu_seconds += timer.cpu_seconds();
@@ -222,7 +223,7 @@ std::vector<bool> GcSession::online(const std::vector<bool>& garbler_bits,
   }
   const std::size_t ng = garbler_bits.size();
   const std::size_t ne = evaluator_bits.size();
-  if (static_cast<std::int32_t>(ng + ne) != circuit_.num_inputs) {
+  if (static_cast<std::int32_t>(ng + ne) != circuit_->num_inputs) {
     throw std::invalid_argument("GcSession::online: input count mismatch");
   }
 
@@ -252,7 +253,7 @@ std::vector<bool> GcSession::online(const std::vector<bool>& garbler_bits,
 
   // Evaluate (client side, using the table as received over the wire).
   CpuWallTimer timer;
-  const auto out_labels = GcEvaluator::eval(circuit_, client_table_, active);
+  const auto out_labels = GcEvaluator::eval(*circuit_, client_table_, active);
   stats_.eval_seconds += timer.wall_seconds();
   stats_.eval_cpu_seconds += timer.cpu_seconds();
 

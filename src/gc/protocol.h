@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -24,8 +25,9 @@ enum class RevealTo { kGarbler, kEvaluator, kBoth };
 // How the garbled tables travel in the offline phase.
 //   kMonolithic — one kGcTables frame once garbling finishes (seed behavior).
 //   kStreamed   — kGcTableChunk frames ship each dependency level's finalized
-//                 table prefix while later levels are still being garbled,
-//                 overlapping garbling compute with transfer.
+//                 table prefix while later levels are still being garbled.
+//                 Both parties share one thread, so the evaluator reads the
+//                 first chunk only after the last is sent: no overlap yet.
 // Default comes from PRIMER_GC_STREAM (unset/1/on -> streamed; 0/off ->
 // monolithic).  Both modes deliver bit-identical tables.
 enum class TableTransfer { kMonolithic, kStreamed };
@@ -50,8 +52,14 @@ class GcSession {
       : channel_(channel), rng_(garbler_rng), ot_(channel) {}
 
   // Offline phase: garble and ship the tables (and, if the evaluator may
-  // learn outputs, the decode bits).
-  void offline(const Circuit& circuit, RevealTo reveal);
+  // learn outputs, the decode bits).  The session keeps the shared circuit
+  // for online(); a circuit other sessions garble concurrently must come
+  // pre-layered (share_layered()).
+  void offline(std::shared_ptr<const Circuit> circuit, RevealTo reveal);
+  // Same, over a private copy of a one-off circuit.
+  void offline(const Circuit& circuit, RevealTo reveal) {
+    offline(std::make_shared<const Circuit>(circuit), reveal);
+  }
 
   // Online phase: exchange input labels, evaluate, reveal.
   // garbler_bits.size() + evaluator_bits.size() must equal num_inputs.
@@ -86,7 +94,7 @@ class GcSession {
   SimulatedOt ot_;
   TableTransfer transfer_ = default_table_transfer();
   std::size_t stream_chunk_rows_ = kDefaultStreamChunkRows;
-  Circuit circuit_;
+  std::shared_ptr<const Circuit> circuit_;
   GarbledCircuit gc_;
   GarbledTable client_table_;       // evaluator's copy, parsed off the wire
   std::vector<bool> client_decode_; // evaluator's decode bits (if revealed)

@@ -1,7 +1,9 @@
 #include "proto/primer.h"
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
+#include <tuple>
 
 namespace primer {
 
@@ -105,10 +107,65 @@ const char* variant_name(PrimerVariant v) {
   return "?";
 }
 
+ModelCircuits::ModelCircuits(const BertWeightsI& weights,
+                             PrimerVariant variant, std::uint64_t t)
+    : variant(variant), t(t) {
+  const auto& cfg = weights.config;
+  const std::size_t n = cfg.tokens;
+  const std::size_t d = cfg.d_model;
+  const std::size_t frac = static_cast<std::size_t>(weights.fmt.frac_bits);
+  const bool merged_qk = variant == PrimerVariant::kFPC;
+
+  std::map<std::tuple<std::size_t, std::size_t, Activation>, Ptr> acts;
+  auto act = [&](std::size_t count, std::size_t shift, Activation a) {
+    Ptr& c = acts[{count, shift, a}];
+    if (c == nullptr) {
+      ActivationCircuitSpec spec;
+      spec.t = t;
+      spec.count = count;
+      spec.frac_shift = shift;
+      spec.act = a;
+      spec.fmt = weights.fmt;
+      c = share_layered(make_activation_circuit(spec));
+    }
+    return c;
+  };
+  embed = act(n * d, 0, Activation::kIdentity);
+  qkv = act(merged_qk ? n * d : 3 * n * d, frac, Activation::kIdentity);
+  attnv = act(n * d, frac, Activation::kIdentity);
+  gelu = act(n * cfg.d_ff, frac, Activation::kGelu);
+  cls = act(cfg.num_classes, frac, Activation::kIdentity);
+
+  SoftmaxCircuitSpec sm;
+  sm.t = t;
+  sm.count = n;
+  // Merged Q*K^T scores skip the Q/K truncations: 4*frac, not 2*frac.
+  sm.frac_shift = merged_qk ? 3 * frac : frac;
+  sm.fmt = weights.fmt;
+  softmax = share_layered(make_softmax_circuit(sm));
+
+  auto ln = [&](const std::vector<std::int64_t>& gamma,
+                const std::vector<std::int64_t>& beta) {
+    LayerNormCircuitSpec spec;
+    spec.t = t;
+    spec.d = d;
+    spec.frac_shift = frac;
+    spec.gamma = gamma;
+    spec.beta = beta;
+    spec.fmt = weights.fmt;
+    return share_layered(make_layernorm_circuit(spec));
+  };
+  for (const auto& blk : weights.blocks) {
+    ln1.push_back(ln(blk.ln1_gamma, blk.ln1_beta));
+    ln2.push_back(ln(blk.ln2_gamma, blk.ln2_beta));
+  }
+}
+
 PrimerEngine::PrimerEngine(BertWeightsI weights, PrimerVariant variant,
-                           HeProfile profile, std::uint64_t seed)
+                           HeProfile profile, std::uint64_t seed,
+                           std::shared_ptr<const ModelCircuits> circuits)
     : w_(std::move(weights)), variant_(variant), profile_(profile),
-      seed_(seed) {
+      seed_(seed), circuits_(std::move(circuits)) {
   const auto& cfg = w_.config;
   auto pow2 = [](std::size_t v) { return v != 0 && (v & (v - 1)) == 0; };
   if (!pow2(cfg.tokens) || !pow2(cfg.d_model) || !pow2(cfg.head_dim())) {
@@ -119,6 +176,14 @@ PrimerEngine::PrimerEngine(BertWeightsI weights, PrimerVariant variant,
     for (const auto b : w_.blocks[0].b_q) {
       if (b != 0) throw std::invalid_argument("CHGS requires zero Q/K biases");
     }
+  }
+  const std::uint64_t t = make_params(profile_).t;
+  if (circuits_ == nullptr) {
+    circuits_ = std::make_shared<const ModelCircuits>(w_, variant_, t);
+  } else if (circuits_->variant != variant_ || circuits_->t != t ||
+             circuits_->ln1.size() != cfg.blocks) {
+    throw std::invalid_argument(
+        "PrimerEngine: circuit set was built for another model");
   }
 }
 
@@ -195,8 +260,6 @@ PrimerRunResult PrimerEngine::run_protocol(
   const std::size_t d = cfg.d_model;
   const std::size_t dh = cfg.head_dim();
   const std::size_t heads = cfg.heads;
-  const std::size_t frac = static_cast<std::size_t>(w_.fmt.frac_bits);
-  const std::uint64_t t = pc.t();
   const ShareRing& ring = pc.ring;
 
   const std::string off = offline_offload() ? "offline" : "online";
@@ -315,37 +378,8 @@ PrimerRunResult PrimerEngine::run_protocol(
   pc.checkpoint("key_transfer");
 
   // --- GC stages ----------------------------------------------------------
-  auto act_circuit = [&](std::size_t count, std::size_t shift, Activation a) {
-    ActivationCircuitSpec spec;
-    spec.t = t;
-    spec.count = count;
-    spec.frac_shift = shift;
-    spec.act = a;
-    spec.fmt = w_.fmt;
-    return make_activation_circuit(spec);
-  };
-  auto softmax_circuit = [&](std::size_t shift) {
-    SoftmaxCircuitSpec spec;
-    spec.t = t;
-    spec.count = n;
-    spec.frac_shift = shift;
-    spec.fmt = w_.fmt;
-    return make_softmax_circuit(spec);
-  };
-  auto ln_circuit = [&](const std::vector<std::int64_t>& gamma,
-                        const std::vector<std::int64_t>& beta) {
-    LayerNormCircuitSpec spec;
-    spec.t = t;
-    spec.d = d;
-    spec.frac_shift = frac;
-    spec.gamma = gamma;
-    spec.beta = beta;
-    spec.fmt = w_.fmt;
-    return make_layernorm_circuit(spec);
-  };
-
-  GcStage gc_embed(pc, act_circuit(n * d, 0, Activation::kIdentity),
-                   RevealTo::kGarbler);
+  const ModelCircuits& gc = *circuits_;
+  GcStage gc_embed(pc, gc.embed, RevealTo::kGarbler);
   gc_embed.offline(off, embed_step);
 
   struct BlockStages {
@@ -357,39 +391,29 @@ PrimerRunResult PrimerEngine::run_protocol(
   };
   std::vector<BlockStages> bs(cfg.blocks);
   for (std::size_t b = 0; b < cfg.blocks; ++b) {
-    const auto& blk = w_.blocks[b];
-    const std::size_t qkv_count = use_chgs(b) ? n * d : 3 * n * d;
-    bs[b].qkv = std::make_unique<GcStage>(
-        pc, act_circuit(qkv_count, frac, Activation::kIdentity),
-        RevealTo::kGarbler);
+    bs[b].qkv = std::make_unique<GcStage>(pc, gc.qkv, RevealTo::kGarbler);
     bs[b].qkv->offline(off, use_chgs(b) ? "attnv" : "qkv");
-    const std::size_t score_shift = use_chgs(b) ? 3 * frac : frac;
     for (std::size_t h = 0; h < heads; ++h) {
       for (std::size_t i = 0; i < n; ++i) {
-        bs[b].softmax.push_back(std::make_unique<GcStage>(
-            pc, softmax_circuit(score_shift), RevealTo::kGarbler));
+        bs[b].softmax.push_back(
+            std::make_unique<GcStage>(pc, gc.softmax, RevealTo::kGarbler));
         bs[b].softmax.back()->offline(off, "softmax");
       }
     }
-    bs[b].attnv = std::make_unique<GcStage>(
-        pc, act_circuit(n * d, frac, Activation::kIdentity),
-        RevealTo::kGarbler);
+    bs[b].attnv = std::make_unique<GcStage>(pc, gc.attnv, RevealTo::kGarbler);
     bs[b].attnv->offline(off, "attnv");
     for (std::size_t i = 0; i < n; ++i) {
-      bs[b].ln1.push_back(std::make_unique<GcStage>(
-          pc, ln_circuit(blk.ln1_gamma, blk.ln1_beta), RevealTo::kGarbler));
+      bs[b].ln1.push_back(
+          std::make_unique<GcStage>(pc, gc.ln1[b], RevealTo::kGarbler));
       bs[b].ln1.back()->offline(off, "others");
-      bs[b].ln2.push_back(std::make_unique<GcStage>(
-          pc, ln_circuit(blk.ln2_gamma, blk.ln2_beta), RevealTo::kGarbler));
+      bs[b].ln2.push_back(
+          std::make_unique<GcStage>(pc, gc.ln2[b], RevealTo::kGarbler));
       bs[b].ln2.back()->offline(off, "others");
     }
-    bs[b].gelu = std::make_unique<GcStage>(
-        pc, act_circuit(n * cfg.d_ff, frac, Activation::kGelu),
-        RevealTo::kGarbler);
+    bs[b].gelu = std::make_unique<GcStage>(pc, gc.gelu, RevealTo::kGarbler);
     bs[b].gelu->offline(off, "others");
   }
-  GcStage gc_cls(pc, act_circuit(cfg.num_classes, frac, Activation::kIdentity),
-                 RevealTo::kEvaluator);
+  GcStage gc_cls(pc, gc.cls, RevealTo::kEvaluator);
   gc_cls.offline(off, "others");
   pc.checkpoint("gc_offline");
 

@@ -29,6 +29,29 @@ enum class PrimerVariant { kBase, kF, kFP, kFPC };
 
 const char* variant_name(PrimerVariant v);
 
+// Every garbled circuit one model's protocol garbles, built once.  No GC
+// stage depends on the query: each circuit is fixed by the model's shape
+// and layer-norm constants, the variant and the plaintext modulus t.  The
+// set builds each distinct circuit once, layers it, and shares it
+// immutably, so every stage of every inference, on any thread, garbles
+// the same object.  It holds public circuit descriptions only: every
+// garbling draws its labels from the session's RNG.
+struct ModelCircuits {
+  using Ptr = std::shared_ptr<const Circuit>;
+
+  ModelCircuits(const BertWeightsI& weights, PrimerVariant variant,
+                std::uint64_t t);
+
+  PrimerVariant variant;
+  std::uint64_t t;
+  // Activation circuits, deduplicated by spec: under CHGS the V-only
+  // truncation (qkv) is the attention-output truncation (attnv).
+  Ptr embed, qkv, attnv, gelu, cls;
+  Ptr softmax;  // one attention row; shared by every block, head and row
+  // One pair per block: gamma/beta are baked into the circuit.
+  std::vector<Ptr> ln1, ln2;
+};
+
 struct PrimerRunResult {
   std::vector<std::int64_t> logits;  // raw fixed point, revealed to client
   std::size_t predicted = 0;
@@ -94,10 +117,13 @@ struct PrimerRunResult {
 class PrimerEngine {
  public:
   // Weights must use power-of-two tokens/d_model/head_dim (nano/micro
-  // configs); kProto2048 is the intended live profile.
+  // configs); kProto2048 is the intended live profile.  The engine builds
+  // the model's circuit set unless given one built for the same weights,
+  // variant and profile (PrimerServer shares one per hosted model).
   PrimerEngine(BertWeightsI weights, PrimerVariant variant,
                HeProfile profile = HeProfile::kProto2048,
-               std::uint64_t seed = 7);
+               std::uint64_t seed = 7,
+               std::shared_ptr<const ModelCircuits> circuits = nullptr);
 
   // One private inference (offline + online, separately accounted).
   PrimerRunResult run(const std::vector<std::size_t>& tokens);
@@ -130,6 +156,9 @@ class PrimerEngine {
 
   const BertWeightsI& weights() const { return w_; }
   PrimerVariant variant() const { return variant_; }
+  const std::shared_ptr<const ModelCircuits>& circuits() const {
+    return circuits_;
+  }
 
  private:
   // One protocol attempt under explicit session options.  Fills
@@ -152,6 +181,7 @@ class PrimerEngine {
   PrimerVariant variant_;
   HeProfile profile_;
   std::uint64_t seed_;
+  std::shared_ptr<const ModelCircuits> circuits_;
   std::unique_ptr<PrimerRunResult> last_partial_;
 };
 

@@ -158,9 +158,12 @@ class ProtocolContext {
 };
 
 // One garbled-circuit protocol stage with offline/online cost attribution.
+// The circuit is shared and pre-layered (share_layered()): every stage and
+// every inference that garbles the same circuit reads one object.
 class GcStage {
  public:
-  GcStage(ProtocolContext& pc, Circuit circuit, RevealTo reveal)
+  GcStage(ProtocolContext& pc, std::shared_ptr<const Circuit> circuit,
+          RevealTo reveal)
       : pc_(pc), session_(pc.framed, pc.server_rng),
         circuit_(std::move(circuit)), reveal_(reveal) {}
 
@@ -182,9 +185,6 @@ class GcStage {
     charge(phase, step_name, before);
     return out;
   }
-
-  const GcStats& stats() const { return session_.stats(); }
-  const Circuit& circuit() const { return circuit_; }
 
  private:
   // Charges the session-stat delta of one offline/online call into the
@@ -209,7 +209,7 @@ class GcStage {
 
   ProtocolContext& pc_;
   GcSession session_;
-  Circuit circuit_;
+  std::shared_ptr<const Circuit> circuit_;
   RevealTo reveal_;
 };
 

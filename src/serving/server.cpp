@@ -37,6 +37,10 @@ PrimerServer::PrimerServer(std::vector<ModelSpec> models, ServerConfig cfg)
   if (models_.empty()) {
     throw std::invalid_argument("PrimerServer: at least one model required");
   }
+  for (const ModelSpec& spec : models_) {
+    circuits_.push_back(std::make_shared<const ModelCircuits>(
+        spec.weights, spec.variant, make_params(spec.profile).t));
+  }
   const std::size_t n = std::max<std::size_t>(1, cfg_.workers);
   cfg_.workers = n;
   workers_.reserve(n);
@@ -195,7 +199,8 @@ void PrimerServer::serve(const std::shared_ptr<SessionTicket>& t) {
   }
 
   const ModelSpec& spec = models_[t->req_.model];
-  PrimerEngine engine(spec.weights, spec.variant, spec.profile, spec.seed);
+  PrimerEngine engine(spec.weights, spec.variant, spec.profile, spec.seed,
+                      circuits_[t->req_.model]);
   SessionOptions opts;
   opts.store = lease.store;
   opts.session_id = t->req_.client_id;

@@ -206,6 +206,8 @@ class PrimerServer {
   bool evict_longest_stalled_locked();
 
   std::vector<ModelSpec> models_;
+  // One circuit set per hosted model, shared by all of its sessions.
+  std::vector<std::shared_ptr<const ModelCircuits>> circuits_;
   ServerConfig cfg_;
   SessionManager sessions_;
   std::atomic<bool> drain_flag_{false};

@@ -41,6 +41,23 @@ TEST(Api, RejectsNonPowerOfTwoConfigs) {
   EXPECT_THROW(PrimerEngine(w, PrimerVariant::kF), std::invalid_argument);
 }
 
+TEST(Api, RejectsCircuitSetOfAnotherModel) {
+  Rng rng(7);
+  const auto w = quantize(BertWeightsD::random(bert_nano(), rng));
+  const PrimerEngine fp(w, PrimerVariant::kFP);
+  // Same weights and profile: the set is shared, not rebuilt.
+  const PrimerEngine peer(w, PrimerVariant::kFP, HeProfile::kProto2048, 7,
+                          fp.circuits());
+  EXPECT_EQ(peer.circuits(), fp.circuits());
+  // CHGS garbles other circuits; another profile has another t.
+  EXPECT_THROW(PrimerEngine(w, PrimerVariant::kFPC, HeProfile::kProto2048, 7,
+                            fp.circuits()),
+               std::invalid_argument);
+  EXPECT_THROW(PrimerEngine(w, PrimerVariant::kFP, HeProfile::kTest2048, 7,
+                            fp.circuits()),
+               std::invalid_argument);
+}
+
 TEST(Api, RejectsOutOfVocabToken) {
   Rng rng(6);
   auto session = PrivateInferenceSession::create_random_model(

@@ -6,6 +6,8 @@
 // pure reordering — these tests pin that contract.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -125,6 +127,44 @@ TEST(GcParallel, SessionOutputsInvariantAcrossThreadCountsAndTransfers) {
       SCOPED_TRACE(n);
       EXPECT_EQ(run(n, TableTransfer::kMonolithic), expect);
       EXPECT_EQ(run(n, TableTransfer::kStreamed), expect);
+    }
+  }
+}
+
+// Concurrent sessions over one published circuit, the way a server's
+// sessions share a model's circuit set: only reads may touch it.
+TEST(GcParallel, SessionsOnManyThreadsShareOneCircuit) {
+  constexpr std::size_t kSessions = 4;
+  for (const auto& [name, circ] : fixed_circuit_suite(4)) {
+    SCOPED_TRACE(name);
+    const std::shared_ptr<const Circuit> shared = share_layered(circ);
+    const std::size_t inputs = static_cast<std::size_t>(circ.num_inputs);
+    const std::size_t ng = inputs / 3;
+
+    // Session k garbles with its own seed and inputs.
+    auto run = [&](std::size_t k) {
+      Rng in_rng(100 + k);
+      std::vector<bool> garbler_bits, evaluator_bits;
+      for (std::size_t i = 0; i < inputs; ++i) {
+        (i < ng ? garbler_bits : evaluator_bits).push_back(in_rng.next() & 1);
+      }
+      Channel ch;
+      FramedChannel fch(ch, FaultSpec{});
+      Rng rng(7000 + k);
+      GcSession session(fch, rng);
+      session.offline(shared, RevealTo::kBoth);
+      return session.online(garbler_bits, evaluator_bits);
+    };
+
+    std::vector<std::vector<bool>> serial(kSessions), threaded(kSessions);
+    for (std::size_t k = 0; k < kSessions; ++k) serial[k] = run(k);
+    std::vector<std::thread> threads;
+    for (std::size_t k = 0; k < kSessions; ++k) {
+      threads.emplace_back([&, k] { threaded[k] = run(k); });
+    }
+    for (auto& t : threads) t.join();
+    for (std::size_t k = 0; k < kSessions; ++k) {
+      EXPECT_EQ(threaded[k], serial[k]) << "session " << k;
     }
   }
 }

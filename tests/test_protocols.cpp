@@ -297,5 +297,44 @@ TEST_F(PrimerE2E, OfflineOffloadShrinksOnlineTraffic) {
   EXPECT_GT(base_on.he_ct_mults, 0u);
 }
 
+// One engine garbles its shared circuit set on every inference.  Each block
+// gets its own layer-norm constants, so a set that reused one block's
+// layer norm for another would change the logits; a set that changed the
+// transcript would change the byte, frame or flight count.
+TEST_F(PrimerE2E, EngineReuseTwoBlocksBitIdentical) {
+  Rng rng(4242);
+  auto cfg = bert_nano();
+  cfg.blocks = 2;
+  BertWeightsI w = quantize(BertWeightsD::random(cfg, rng));
+  for (auto& blk : w.blocks) {
+    for (auto* gamma : {&blk.ln1_gamma, &blk.ln2_gamma}) {
+      for (auto& g : *gamma) g = fp_encode(0.5 + rng.uniform_real());
+    }
+    for (auto* beta : {&blk.ln1_beta, &blk.ln2_beta}) {
+      for (auto& b : *beta) b = fp_encode(rng.uniform_real() - 0.5);
+    }
+  }
+  const FixedBert ref(w);
+  const std::vector<std::vector<std::size_t>> queries = {
+      {3, 17, 9, 28}, {0, 31, 15, 8}, {5, 12, 30, 2}};
+  for (const PrimerVariant v : {PrimerVariant::kFP, PrimerVariant::kFPC}) {
+    SCOPED_TRACE(variant_name(v));
+    PrimerEngine engine(w, v);
+    const ModelCircuits& set = *engine.circuits();
+    EXPECT_EQ(set.qkv == set.attnv, v == PrimerVariant::kFPC);
+    EXPECT_EQ(set.ln1.size(), 2u);
+    for (const auto& tokens : queries) {
+      const PrimerRunResult got = engine.run(tokens);
+      EXPECT_EQ(got.logits, v == PrimerVariant::kFPC
+                                ? fixed_forward_chgs(w, tokens)
+                                : ref.forward(tokens));
+      const PrimerRunResult fresh = PrimerEngine(w, v).run(tokens);
+      EXPECT_EQ(got.total_bytes, fresh.total_bytes);
+      EXPECT_EQ(got.frames_sent, fresh.frames_sent);
+      EXPECT_EQ(got.rounds, fresh.rounds);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace primer
