@@ -260,4 +260,14 @@ std::uint32_t negotiate_resume_epoch(const SessionHello& hello,
   return 0;  // no shared checkpoint: clean fresh start
 }
 
+void drop_foreign_checkpoints(SessionStore& store, Party me,
+                              std::uint64_t params_hash) {
+  for (const auto& entry : store.digests(me)) {
+    const auto cp = store.load(me, entry.first);
+    if (cp.has_value() && cp->params_hash != params_hash) {
+      store.drop(me, entry.first);
+    }
+  }
+}
+
 }  // namespace primer

@@ -243,6 +243,16 @@ std::uint32_t negotiate_resume_epoch(const SessionHello& hello,
                                      std::uint64_t my_params_hash,
                                      const SessionStore& store, Party me);
 
+// Drops every checkpoint `me` holds that was taken under another parameter
+// fingerprint.  Each party runs this before it lists or negotiates its
+// inventory: such an epoch belongs to another transcript (another seed or
+// profile, or keys shipped versus already installed), so replaying it
+// could only die with kResumeDiverged, and keeping it would let a durable
+// store's keep-last-K retention prefer those stale, higher-numbered epochs
+// over the ones the fresh run is about to write.
+void drop_foreign_checkpoints(SessionStore& store, Party me,
+                              std::uint64_t params_hash);
+
 // ---------------------------------------------------------------------------
 // Per-phase deadlines
 // ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ ChgsScores::ChgsScores(ProtocolContext& pc, std::size_t tokens, const MatI& we,
     : pc_(pc), n_(tokens), we_(pc.ring.reduce(we)),
       pos_(pc.ring.reduce(pos)),
       mm_(pc.he, pc.encoder, pc.eval, PackingStrategy::kTokensFirst) {
-  pc_.ensure_rotation_steps(mm_.rotation_steps(n_));
+  pc_.keys.ensure_rotation_steps(mm_.rotation_steps(n_));
   // Wqk = wq_h * wk_h^T in the ring (2*frac domain).
   wqk_ = pc_.ring.mul(pc_.ring.reduce(wq_h),
                       transpose_ring(pc_.ring.reduce(wk_h)));

@@ -31,8 +31,8 @@ class FhgsProduct {
       : pc_(pc), n_(n), k_(k), m_(m),
         mm_a_(pc.he, pc.encoder, pc.eval, PackingStrategy::kTokensFirst),
         mm_bt_(pc.he, pc.encoder, pc.eval, PackingStrategy::kTokensFirst) {
-    pc_.ensure_rotation_steps(mm_a_.rotation_steps(n_));
-    pc_.ensure_rotation_steps(mm_bt_.rotation_steps(m_));
+    pc_.keys.ensure_rotation_steps(mm_a_.rotation_steps(n_));
+    pc_.keys.ensure_rotation_steps(mm_bt_.rotation_steps(m_));
   }
 
   // Offline: client sends the triple Enc(Ra), Enc(Rb^T), Enc(Ra*Rb).
@@ -59,10 +59,10 @@ class CtCtProduct {
       : pc_(pc), n_(n), k_(k), m_(m),
         mm_a_(pc.he, pc.encoder, pc.eval, PackingStrategy::kFeatureBased),
         mm_bt_(pc.he, pc.encoder, pc.eval, PackingStrategy::kFeatureBased) {
-    pc_.ensure_rotation_steps(mm_a_.rotation_steps(n_));
-    pc_.ensure_rotation_steps(mm_bt_.rotation_steps(m_));
+    pc_.keys.ensure_rotation_steps(mm_a_.rotation_steps(n_));
+    pc_.keys.ensure_rotation_steps(mm_bt_.rotation_steps(m_));
     // The ct-ct dot products reduce over k slots with a BSGS rotate-sum.
-    pc_.ensure_rotation_steps(Evaluator::rotate_sum_steps(k_));
+    pc_.keys.ensure_rotation_steps(Evaluator::rotate_sum_steps(k_));
   }
 
   // Everything online: the ct-ct cross term Ac*Bc plus two ct-pt terms and

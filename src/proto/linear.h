@@ -29,7 +29,7 @@ class HgsLinear {
             std::size_t tokens, PackingStrategy strategy)
       : pc_(pc), w_(std::move(w)), bias_(std::move(bias)), tokens_(tokens),
         mm_(pc.he, pc.encoder, pc.eval, strategy) {
-    pc_.ensure_rotation_steps(mm_.rotation_steps(tokens_));
+    pc_.keys.ensure_rotation_steps(mm_.rotation_steps(tokens_));
   }
 
   // Offline phase.  `rc` is the client's mask for this layer's input (the
@@ -60,7 +60,7 @@ class BaseLinear {
              std::size_t tokens, PackingStrategy strategy)
       : pc_(pc), w_(std::move(w)), bias_(std::move(bias)), tokens_(tokens),
         mm_(pc.he, pc.encoder, pc.eval, strategy) {
-    pc_.ensure_rotation_steps(mm_.rotation_steps(tokens_));
+    pc_.keys.ensure_rotation_steps(mm_.rotation_steps(tokens_));
   }
 
   // Fully-online: input is shared (Xc at client, Xs at server); output is

@@ -226,18 +226,24 @@ PrimerRunResult PrimerEngine::run_resilient(
 
 PrimerRunResult PrimerEngine::run_session(
     const std::vector<std::size_t>& tokens, const SessionOptions& options) {
-  const auto& cfg = w_.config;
-  const std::size_t n = cfg.tokens;
-  const std::size_t dh = cfg.head_dim();
-
-  std::vector<int> steps = {1, static_cast<int>(n)};
-  for (std::size_t s = 2; s <= std::max(dh, n); s <<= 1) {
-    steps.push_back(static_cast<int>(s));
+  if (keys_ == nullptr) {
+    const auto& cfg = w_.config;
+    const std::size_t n = cfg.tokens;
+    const std::size_t dh = cfg.head_dim();
+    std::vector<int> steps = {1, static_cast<int>(n)};
+    for (std::size_t s = 2; s <= std::max(dh, n); s <<= 1) {
+      steps.push_back(static_cast<int>(s));
+    }
+    keys_ = std::make_unique<ClientKeys>(profile_, seed_, steps);
   }
-  ProtocolContext pc(profile_, seed_, steps, options);
+  ProtocolContext pc(*keys_, seed_, options);
   try {
     pc.start_session();
-    return run_protocol(tokens, pc);
+    PrimerRunResult result = run_protocol(tokens, pc);
+    // Only a completed run installs the keys: until then every attempt
+    // ships them, so restarts replay one transcript.
+    keys_->mark_installed();
+    return result;
   } catch (...) {
     // Snapshot what the attempt accrued before the fault so callers (and
     // run_resilient's byte accounting) see partial costs and the smallest
@@ -370,12 +376,16 @@ PrimerRunResult PrimerEngine::run_protocol(
     cls_base = base_lin(w_.w_cls, w_.b_cls, 1);
   }
 
-  // Every protocol object has registered its rotation steps by now: ship
-  // the client's finalized evaluation keys through the accounted wire, then
-  // snapshot the first resumable boundary.  Primer-base has no offline
-  // phase, so its key transfer is charged online like everything else.
-  pc.transfer_keys(off);
-  pc.checkpoint("key_transfer");
+  // Every protocol object has registered its rotation steps by now.  The
+  // engine's first run ships the client's finalized evaluation keys through
+  // the accounted wire, then snapshots the first resumable boundary; once
+  // the key set is installed the server holds them, and the transcript
+  // starts at GC offline.  Primer-base has no offline phase, so its key
+  // transfer is charged online like everything else.
+  if (!pc.keys.installed()) {
+    pc.transfer_keys(off);
+    pc.checkpoint("key_transfer");
+  }
 
   // --- GC stages ----------------------------------------------------------
   const ModelCircuits& gc = *circuits_;

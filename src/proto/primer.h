@@ -119,7 +119,9 @@ class PrimerEngine {
   // Weights must use power-of-two tokens/d_model/head_dim (nano/micro
   // configs); kProto2048 is the intended live profile.  The engine builds
   // the model's circuit set unless given one built for the same weights,
-  // variant and profile (PrimerServer shares one per hosted model).
+  // variant and profile (PrimerServer shares one per hosted model).  It
+  // also keeps one client key set (ClientKeys) for its lifetime: the first
+  // completed run ships the keys, and later runs send none.
   PrimerEngine(BertWeightsI weights, PrimerVariant variant,
                HeProfile profile = HeProfile::kProto2048,
                std::uint64_t seed = 7,
@@ -159,6 +161,10 @@ class PrimerEngine {
   const std::shared_ptr<const ModelCircuits>& circuits() const {
     return circuits_;
   }
+  // The client's HE key set: generated by the first run, shipped by the
+  // first completed run, then reused by every later one (null before the
+  // first run).
+  const ClientKeys* keys() const { return keys_.get(); }
 
  private:
   // One protocol attempt under explicit session options.  Fills
@@ -182,6 +188,7 @@ class PrimerEngine {
   HeProfile profile_;
   std::uint64_t seed_;
   std::shared_ptr<const ModelCircuits> circuits_;
+  std::unique_ptr<ClientKeys> keys_;
   std::unique_ptr<PrimerRunResult> last_partial_;
 };
 

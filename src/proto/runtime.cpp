@@ -1,5 +1,7 @@
 #include "proto/runtime.h"
 
+#include <stdexcept>
+
 #include "common/env.h"
 #include "common/parallel.h"
 #include "net/crc32c.h"
@@ -20,29 +22,66 @@ SessionOptions SessionOptions::from_env() {
   return o;
 }
 
+ClientKeys::ClientKeys(HeProfile profile, std::uint64_t seed,
+                       const std::vector<int>& rotation_steps)
+    : he(make_params(profile)),
+      rng_(seed ^ kKeyStream),
+      keygen_(he, rng_) {
+  gk = keygen_.make_galois_keys(rotation_steps);
+  rk = keygen_.make_relin_key();
+}
+
+void ClientKeys::ensure_rotation_steps(const std::vector<int>& steps) {
+  for (const int s : steps) {
+    const u64 elt = he.galois_elt_from_step(s);
+    if (gk.has(elt)) continue;
+    if (installed_) {
+      throw std::logic_error(
+          "rotation step " + std::to_string(s) +
+          " has no Galois key: the installed key set was shipped without "
+          "it, and a key generated now would never reach the server");
+    }
+    keygen_.add_galois_key(gk, elt);
+  }
+}
+
+ProtocolContext::ProtocolContext(ClientKeys& keys, std::uint64_t seed,
+                                 SessionOptions options)
+    : ProtocolContext(nullptr, &keys, seed, std::move(options)) {}
+
 ProtocolContext::ProtocolContext(HeProfile profile, std::uint64_t seed,
                                  std::vector<int> rotation_steps,
                                  SessionOptions options)
-    : he(make_params(profile)),
+    : ProtocolContext(
+          std::make_unique<ClientKeys>(profile, seed, rotation_steps),
+          nullptr, seed, std::move(options)) {}
+
+ProtocolContext::ProtocolContext(std::unique_ptr<ClientKeys> own,
+                                 ClientKeys* shared, std::uint64_t seed,
+                                 SessionOptions options)
+    : own_keys_(std::move(own)),
+      keys(shared != nullptr ? *shared : *own_keys_),
+      he(keys.he),
       encoder(he),
       client_rng(seed),
       server_rng(seed ^ 0x5deece66dULL),
-      keygen(he, client_rng),
-      enc(he, keygen.secret_key(), client_rng),
-      dec(he, keygen.secret_key()),
+      enc(he, keys.secret_key(), client_rng),
+      dec(he, keys.secret_key()),
       eval(he),
-      gk(keygen.make_galois_keys(rotation_steps)),
-      rk(keygen.make_relin_key()),
+      gk(keys.gk),
+      rk(keys.rk),
       session(std::move(options)),
       framed(channel, session.faults),
       ring(he.t()) {
   // Parameter fingerprint for the resume handshake: a peer with a
-  // different profile, modulus chain or seed is a different session.
+  // different profile, modulus chain or seed is a different session, and
+  // so is a run over an installed key set, whose transcript has no keys.
   ByteWriter w;
   w.u64(seed);
   w.u64(he.t());
   w.u64(he.degree());
   for (std::size_t j = 0; j < he.rns_size(); ++j) w.u64(he.q(j));
+  w.u8(keys.installed() ? 1 : 0);
   params_hash_ = crc32c(w.data().data(), w.size());
   deadline.configure(&channel, session.phase_deadline_s, session.cancel);
   framed.set_deadline(&deadline);
@@ -51,12 +90,6 @@ ProtocolContext::ProtocolContext(HeProfile profile, std::uint64_t seed,
 
 ProtocolContext::~ProtocolContext() {
   if (session.cancel != nullptr) set_parallel_cancel_token(nullptr);
-}
-
-void ProtocolContext::ensure_rotation_steps(const std::vector<int>& steps) {
-  for (const int s : steps) {
-    keygen.add_galois_key(gk, he.galois_elt_from_step(s));
-  }
 }
 
 void ProtocolContext::step(const std::string& phase,
@@ -98,7 +131,9 @@ void ProtocolContext::start_session() {
   SessionStore& store = *session.store;
   const auto before = channel.snapshot();
 
-  // Client opens with its checkpoint inventory...
+  // Client opens with its checkpoint inventory (epochs of this transcript
+  // only)...
+  drop_foreign_checkpoints(store, Party::kClient, params_hash_);
   SessionHello hello;
   hello.session_id = session.session_id;
   hello.params_hash = params_hash_;
@@ -109,6 +144,7 @@ void ProtocolContext::start_session() {
   const auto hb = framed.recv_expect(Party::kServer, MessageKind::kSessionHello);
   const SessionHello peer =
       SessionHello::deserialize(hb, "server parsing session hello");
+  drop_foreign_checkpoints(store, Party::kServer, params_hash_);
   const std::uint32_t agreed = negotiate_resume_epoch(
       peer, session.session_id, params_hash_, store, Party::kServer);
   SessionResume resume;
@@ -147,7 +183,13 @@ void ProtocolContext::start_session() {
 }
 
 void ProtocolContext::checkpoint(const std::string& completed) {
-  if (session.store != nullptr) {
+  // A boundary inside the prefix this attempt replays is covered by the
+  // checkpoint it resumed from; a snapshot of it would record a journal
+  // that starts past its own watermark, a blob no load accepts.
+  const bool replayed =
+      framed.sent_count(Party::kClient) < framed.journal_base(Party::kClient) ||
+      framed.sent_count(Party::kServer) < framed.journal_base(Party::kServer);
+  if (session.store != nullptr && !replayed) {
     SessionCheckpoint cp;
     cp.session_id = session.session_id;
     cp.epoch = ++epoch_;
@@ -312,8 +354,8 @@ void ProtocolContext::transfer_keys(const std::string& phase) {
                                 std::string(e.what()));
       }
     }
-    gk = std::move(ngk);
-    rk = std::move(nrk);
+    keys.gk = std::move(ngk);
+    keys.rk = std::move(nrk);
   });
 }
 

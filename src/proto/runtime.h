@@ -1,6 +1,6 @@
 // ProtocolContext: everything a live two-party Primer execution needs —
-// the HE stack (client-owned keys), the simulated channel, the share ring,
-// per-step cost accounting, and the GC stage wrapper.
+// the HE stack over a client key set (ClientKeys), the simulated channel,
+// the share ring, per-step cost accounting, and the GC stage wrapper.
 //
 // Both parties run in-process; "client" state and "server" state are kept
 // in separate members and only exchanged through the Channel so the traffic
@@ -56,8 +56,62 @@ struct SessionOptions {
   static SessionOptions from_env();
 };
 
+// One client's HE key set: the context the keys belong to, the secret key,
+// the relinearization key and every Galois key the protocol objects
+// register.  Evaluation keys depend only on the secret key and the model's
+// rotation schedule, never on a query, so PrimerEngine keeps one set for
+// its lifetime.  Its first completed run ships the keys (transfer_keys
+// swaps gk/rk for the server's wire-received copies) and marks the set
+// installed; later runs generate and send no key material.
+//
+// Keys draw from their own RNG stream, Rng(seed ^ kKeyStream): a context's
+// client_rng, which draws masks and encryption noise, starts at Rng(seed)
+// whether or not its key set generated anything.
+class ClientKeys {
+ public:
+  static constexpr std::uint64_t kKeyStream = 0x6b657973ULL;  // "keys"
+
+  // Generates the secret key, Galois keys for `rotation_steps` and the
+  // relinearization key.
+  ClientKeys(HeProfile profile, std::uint64_t seed,
+             const std::vector<int>& rotation_steps);
+  ClientKeys(const ClientKeys&) = delete;
+  ClientKeys& operator=(const ClientKeys&) = delete;
+
+  const HeContext he;
+  // The keys the server evaluates with: the generated ones until the first
+  // transfer_keys replaces them with the copies that crossed the wire
+  // (same (b, a) pairs, Shoup tables rebuilt receiver-side).
+  GaloisKeys gk;
+  RelinKey rk;
+
+  const SecretKey& secret_key() const { return keygen_.secret_key(); }
+
+  // Adds Galois keys for any of `steps` not yet present.  Protocol objects
+  // call this from their constructors with the BSGS step sets their packed
+  // matmuls and rotate-sums need, so key material always matches the
+  // rotation schedule regardless of what the engine seeded.  Once the set
+  // is installed a missing step throws std::logic_error instead: a key
+  // minted then would never reach the server.
+  void ensure_rotation_steps(const std::vector<int>& steps);
+
+  // Set by the engine when the run that shipped the keys has returned, so
+  // every attempt of that run (restarts included) ships the same keys.
+  bool installed() const { return installed_; }
+  void mark_installed() { installed_ = true; }
+
+ private:
+  Rng rng_;  // the key stream
+  KeyGenerator keygen_;
+  bool installed_ = false;
+};
+
 class ProtocolContext {
  public:
+  // Runs over `keys`, which must outlive the context.
+  ProtocolContext(ClientKeys& keys, std::uint64_t seed,
+                  SessionOptions options = SessionOptions::from_env());
+  // Generates a private key set for this context alone.
   ProtocolContext(HeProfile profile, std::uint64_t seed,
                   std::vector<int> rotation_steps,
                   SessionOptions options = SessionOptions::from_env());
@@ -65,16 +119,21 @@ class ProtocolContext {
   ProtocolContext(const ProtocolContext&) = delete;
   ProtocolContext& operator=(const ProtocolContext&) = delete;
 
-  HeContext he;
+ private:
+  // Declared first so `keys` can bind to it; null when the keys are shared.
+  std::unique_ptr<ClientKeys> own_keys_;
+
+ public:
+  ClientKeys& keys;
+  const HeContext& he;
   BatchEncoder encoder;
   Rng client_rng;
   Rng server_rng;
-  KeyGenerator keygen;      // client-owned secret key
   Encryptor enc;            // client symmetric encryptor
   Decryptor dec;            // client decryptor
   Evaluator eval;
-  GaloisKeys gk;
-  RelinKey rk;
+  const GaloisKeys& gk;     // server-side evaluation keys
+  const RelinKey& rk;
   Channel channel;
   SessionOptions session;
   // Deterministic per-phase deadline polled by the framed channel (every
@@ -90,12 +149,6 @@ class ProtocolContext {
 
   std::uint64_t t() const { return he.t(); }
   std::size_t share_bits() const { return share_width(he.t()); }
-
-  // Adds Galois keys for any of `steps` not yet present.  Protocol objects
-  // call this from their constructors with the BSGS step sets their packed
-  // matmuls and rotate-sums need, so key material always matches the
-  // rotation schedule regardless of what the engine seeded.
-  void ensure_rotation_steps(const std::vector<int>& steps);
 
   // Runs `fn`, charging its wall-clock time plus the channel traffic it
   // generated to costs[phase][step].  Polls the phase deadline on entry.
@@ -115,19 +168,23 @@ class ProtocolContext {
   // send watermarks, CRC journal, and received-frame inventory under the
   // next epoch.  `completed` labels the phase that just finished; the
   // deadline budget restarts for the following segment.  No-op without a
-  // store (the deadline still restarts).
+  // store, and at boundaries inside the prefix a resumed attempt replays
+  // (the deadline still restarts).
   void checkpoint(const std::string& completed);
 
   // Ships the client's evaluation keys (Galois + relinearization) through
   // the accounted channel — one kKeyMaterial frame per key — and replaces
-  // gk/rk with the wire round-tripped copies, so the server evaluates with
-  // keys that genuinely crossed the (fault-injected) transport.  Shoup
-  // quotient tables are recomputed receiver-side, never transmitted.
-  // Charged to costs[phase]["key_transfer"].
+  // the key set's gk/rk with the wire round-tripped copies, so the server
+  // evaluates with keys that genuinely crossed the (fault-injected)
+  // transport.  Shoup quotient tables are recomputed receiver-side, never
+  // transmitted.  Charged to costs[phase]["key_transfer"].  Callers skip
+  // it once the set is installed: the server already holds the keys.
   void transfer_keys(const std::string& phase = "offline");
 
   // Fingerprint of the negotiated parameters (profile moduli, plaintext
-  // modulus, degree, seed) — must match for a resume to be accepted.
+  // modulus, degree, seed, and whether the key set is already installed,
+  // which decides if the transcript carries keys) — must match for a
+  // resume to be accepted.
   std::uint64_t params_hash() const { return params_hash_; }
   // Epoch the current attempt resumed from (0 = fresh start).
   std::uint32_t resumed_epoch() const { return resumed_epoch_; }
@@ -151,6 +208,10 @@ class ProtocolContext {
                     std::size_t cols) const;
 
  private:
+  // Both public constructors land here; `shared` null means `own`.
+  ProtocolContext(std::unique_ptr<ClientKeys> own, ClientKeys* shared,
+                  std::uint64_t seed, SessionOptions options);
+
   std::uint64_t params_hash_ = 0;
   std::uint32_t epoch_ = 0;          // checkpoints taken this attempt
   std::uint32_t resumed_epoch_ = 0;  // agreed at the handshake

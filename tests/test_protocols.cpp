@@ -1,8 +1,11 @@
 // Protocol-layer tests: HGS linear sharing, FHGS Beaver products, CHGS
-// merged scores, the LayerNorm circuit, the CtCt baseline product, and the
-// end-to-end equality of live PrimerEngine runs against the fixed-point
-// reference model.
+// merged scores, the LayerNorm circuit, the CtCt baseline product, the
+// client key set's lifecycle, and the end-to-end equality of live
+// PrimerEngine runs against the fixed-point reference model.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <stdexcept>
 
 #include "nn/model.h"
 #include "proto/attention.h"
@@ -223,6 +226,50 @@ TEST(LayerNormCircuit, MatchesFixedReference) {
   }
 }
 
+// --- client key set ---------------------------------------------------------
+
+// Keys draw from their own stream: a context's client_rng starts at
+// Rng(seed) whether its key set is fresh, already populated and installed
+// by earlier runs, or private to the context.
+TEST(ClientKeys, ClientRngIndependentOfKeyGeneration) {
+  const std::uint64_t seed = 11;
+  ClientKeys fresh(HeProfile::kProto2048, seed, {1});
+  ClientKeys populated(HeProfile::kProto2048, seed, default_steps());
+  populated.ensure_rotation_steps({32, 64});
+  populated.mark_installed();
+  ProtocolContext over_fresh(fresh, seed, SessionOptions{});
+  ProtocolContext over_populated(populated, seed, SessionOptions{});
+  ProtocolContext own(HeProfile::kProto2048, seed, default_steps(),
+                      SessionOptions{});
+  Rng expect(seed);
+  for (int i = 0; i < 16; ++i) {
+    const std::uint64_t v = expect.next();
+    EXPECT_EQ(over_fresh.client_rng.next(), v) << i;
+    EXPECT_EQ(over_populated.client_rng.next(), v) << i;
+    EXPECT_EQ(own.client_rng.next(), v) << i;
+  }
+  // Nor is the secret key drawn from the outputs client_rng produces.
+  Rng client_stream(seed);
+  const KeyGenerator from_client_stream(fresh.he, client_stream);
+  const RnsPoly& mine = fresh.secret_key().s;
+  const RnsPoly& theirs = from_client_stream.secret_key().s;
+  EXPECT_FALSE(std::equal(mine.limb(0), mine.limb(0) + mine.word_count(),
+                          theirs.limb(0)));
+}
+
+// An installed set never mints a key the server did not receive: steps it
+// holds pass, a missing one throws and adds nothing.
+TEST(ClientKeys, NoNewGaloisKeyAfterInstall) {
+  ClientKeys keys(HeProfile::kProto2048, 3, {1, 2});
+  keys.ensure_rotation_steps({4});
+  const std::size_t held = keys.gk.keys.size();
+  EXPECT_EQ(held, 3u);
+  keys.mark_installed();
+  EXPECT_NO_THROW(keys.ensure_rotation_steps({1, 2, 4}));
+  EXPECT_THROW(keys.ensure_rotation_steps({1, 8}), std::logic_error);
+  EXPECT_EQ(keys.gk.keys.size(), held);
+}
+
 // --- end-to-end -------------------------------------------------------------
 
 class PrimerE2E : public ::testing::Test {
@@ -231,6 +278,15 @@ class PrimerE2E : public ::testing::Test {
     Rng rng(2025);
     const auto cfg = bert_nano();
     return quantize(BertWeightsD::random(cfg, rng));
+  }
+
+  // The run's key_transfer step, or null when it shipped no keys.
+  static const PhaseCost* key_transfer_step(const PrimerRunResult& r) {
+    for (const auto& [phase, steps] : r.costs.all()) {
+      const auto s = steps.find("key_transfer");
+      if (s != steps.end()) return &s->second;
+    }
+    return nullptr;
   }
 };
 
@@ -297,10 +353,14 @@ TEST_F(PrimerE2E, OfflineOffloadShrinksOnlineTraffic) {
   EXPECT_GT(base_on.he_ct_mults, 0u);
 }
 
-// One engine garbles its shared circuit set on every inference.  Each block
-// gets its own layer-norm constants, so a set that reused one block's
-// layer norm for another would change the logits; a set that changed the
-// transcript would change the byte, frame or flight count.
+// One engine garbles its shared circuit set on every inference and ships
+// its key set once.  Each block gets its own layer-norm constants, so a set
+// that reused one block's layer norm for another would change the logits.
+// Run 1 generates the keys, charges a key_transfer step and sends exactly
+// a fresh engine's transcript; later runs have no key_transfer step and
+// send that transcript minus its key transfer (the manifest, one frame per
+// Galois key and the relinearization key, in one flight), so any other
+// change to the transcript would change the byte, frame or flight count.
 TEST_F(PrimerE2E, EngineReuseTwoBlocksBitIdentical) {
   Rng rng(4242);
   auto cfg = bert_nano();
@@ -320,18 +380,33 @@ TEST_F(PrimerE2E, EngineReuseTwoBlocksBitIdentical) {
   for (const PrimerVariant v : {PrimerVariant::kFP, PrimerVariant::kFPC}) {
     SCOPED_TRACE(variant_name(v));
     PrimerEngine engine(w, v);
+    EXPECT_EQ(engine.keys(), nullptr);
     const ModelCircuits& set = *engine.circuits();
     EXPECT_EQ(set.qkv == set.attnv, v == PrimerVariant::kFPC);
     EXPECT_EQ(set.ln1.size(), 2u);
-    for (const auto& tokens : queries) {
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const auto& tokens = queries[q];
       const PrimerRunResult got = engine.run(tokens);
       EXPECT_EQ(got.logits, v == PrimerVariant::kFPC
                                 ? fixed_forward_chgs(w, tokens)
                                 : ref.forward(tokens));
+      const bool shipped = q == 0;
+      ASSERT_NE(engine.keys(), nullptr);
+      EXPECT_TRUE(engine.keys()->installed());
+      const PhaseCost* own = key_transfer_step(got);
+      EXPECT_EQ(own != nullptr, shipped);
+      if (own != nullptr) {
+        EXPECT_GT(own->bytes_sent, 0u);
+      }
       const PrimerRunResult fresh = PrimerEngine(w, v).run(tokens);
-      EXPECT_EQ(got.total_bytes, fresh.total_bytes);
-      EXPECT_EQ(got.frames_sent, fresh.frames_sent);
-      EXPECT_EQ(got.rounds, fresh.rounds);
+      const PhaseCost* keys = key_transfer_step(fresh);
+      ASSERT_NE(keys, nullptr);
+      EXPECT_EQ(got.total_bytes,
+                fresh.total_bytes - (shipped ? 0 : keys->bytes_sent));
+      EXPECT_EQ(got.frames_sent,
+                fresh.frames_sent -
+                    (shipped ? 0 : engine.keys()->gk.keys.size() + 2));
+      EXPECT_EQ(got.rounds, fresh.rounds - (shipped ? 0 : 1));
     }
   }
 }

@@ -393,6 +393,95 @@ TEST(SessionResilience, KillThenResumeBitIdentical) {
   }
 }
 
+// A restart re-executes from the start and replays the prefix its resume
+// epoch covers.  It must not checkpoint the boundaries inside that prefix
+// again: their journal would start past their own watermark, a blob no
+// load accepts.  A kill near the end makes the prefix span every boundary.
+TEST(SessionResilience, ReplayedBoundariesAreNotCheckpointedAgain) {
+  const CleanRun& c = clean_run();
+  EnvGuard env(
+      {{"PRIMER_FAULT_KILL_AFTER", std::to_string(c.result.frames_sent - 2)}});
+  PrimerEngine engine(c.weights, PrimerVariant::kFP);
+  SessionStore store;
+  const PrimerRunResult result = engine.run_resilient(kTokens, store);
+  EXPECT_EQ(result.logits, c.ref_logits);
+  EXPECT_EQ(result.restarts, 1);
+  EXPECT_EQ(result.resumed_epoch, c.result.checkpoints);
+  for (const Party p : {Party::kClient, Party::kServer}) {
+    for (const auto& entry : store.digests(p)) {
+      EXPECT_NO_THROW((void)store.load(p, entry.first)) << entry.first;
+    }
+  }
+}
+
+// Keys count as installed only once a run returns: a kill inside run 1's
+// key transfer restarts that run, which ships the keys again and finishes
+// bit-identical; the next run on the engine sends no key material.
+TEST(SessionResilience, KeysInstalledOnlyAfterSuccess) {
+  const CleanRun& c = clean_run();
+  PrimerEngine engine(c.weights, PrimerVariant::kFP);
+  SessionStore store;
+  // Wire frames 1-2 are the handshake; the key transfer follows: the
+  // manifest, one frame per Galois key, then the relinearization key.
+  const std::uint64_t kill_at = 5;
+  PrimerRunResult first;
+  {
+    EnvGuard env({{"PRIMER_FAULT_KILL_AFTER", std::to_string(kill_at)}});
+    first = engine.run_resilient(kTokens, store);
+  }
+  ASSERT_NE(engine.keys(), nullptr);
+  const std::uint64_t key_frames = engine.keys()->gk.keys.size() + 2;
+  ASSERT_LT(kill_at, 2 + key_frames);  // the kill landed inside the transfer
+  EXPECT_EQ(first.logits, c.ref_logits);
+  EXPECT_EQ(first.restarts, 1);
+  EXPECT_EQ(first.resumed_epoch, 0u);  // no checkpoint before the keys
+  EXPECT_GT(first.prior_attempt_bytes, 0u);
+  // The restart re-shipped the whole key set: its transcript is an
+  // unfaulted run's.
+  EXPECT_EQ(first.frames_sent, c.result.frames_sent);
+  EXPECT_EQ(first.total_bytes, c.result.total_bytes);
+  EXPECT_TRUE(engine.keys()->installed());
+
+  // Run 2's parameter fingerprint says "keys installed", so run 1's
+  // epochs are dropped and it starts fresh, without any key frame.
+  const PrimerRunResult next = engine.run_resilient(kTokens, store);
+  EXPECT_EQ(next.logits, c.ref_logits);
+  EXPECT_EQ(next.resumed_epoch, 0u);
+  EXPECT_EQ(next.frames_sent, c.result.frames_sent - key_frames);
+  const auto cp =
+      store.load(Party::kClient, store.latest_epoch(Party::kClient));
+  ASSERT_TRUE(cp.has_value());
+  EXPECT_EQ(cp->kind_counts[static_cast<int>(Party::kServer)]
+                           [static_cast<std::size_t>(MessageKind::kKeyMaterial)],
+            0u);
+}
+
+// A store written under another seed holds another transcript.  Both
+// parties drop those epochs before the handshake, so the run starts fresh
+// instead of replaying a foreign journal (which died with resume_diverged),
+// and the next run with the same parameters replays its own epochs.
+TEST(SessionResilience, EpochsOfOtherParametersAreDropped) {
+  const CleanRun& c = clean_run();
+  SessionStore store;
+  auto engine = [&](std::uint64_t seed) {
+    return PrimerEngine(c.weights, PrimerVariant::kFP, HeProfile::kProto2048,
+                        seed);
+  };
+  (void)engine(7).run_resilient(kTokens, store);
+  ASSERT_GT(store.latest_epoch(Party::kClient), 0u);
+
+  const PrimerRunResult other = engine(8).run_resilient(kTokens, store);
+  EXPECT_EQ(other.logits, c.ref_logits);
+  EXPECT_EQ(other.restarts, 0);
+  EXPECT_EQ(other.resumed_epoch, 0u);
+  EXPECT_EQ(store.latest_epoch(Party::kClient), other.checkpoints);
+
+  const PrimerRunResult again = engine(8).run_resilient(kTokens, store);
+  EXPECT_EQ(again.logits, c.ref_logits);
+  EXPECT_EQ(again.resumed_epoch, other.checkpoints);
+  EXPECT_GT(again.replayed_bytes, 0u);
+}
+
 TEST(SessionResilience, StallTripsDeadlineThenResumes) {
   const CleanRun& c = clean_run();
   const std::uint64_t stall_at = c.result.frames_sent / 3;
