@@ -177,15 +177,15 @@ void bench_ntt(std::size_t threads, const Options& opt) {
 
 // Every entry of the dispatch table on n=4096 spans, so the --kernel sweep
 // benchmarks scalar/AVX2 parity for the FULL kernel surface — the limb ops
-// and the key-switch kernels (reduce_span / mul_acc_lazy / reduce_acc_span)
-// — not just the NTT butterflies.
+// and the key-switch kernels (reduce_span / shoup_mul_acc_lazy2 /
+// add_reduce2p) — not just the NTT butterflies.
 void bench_kernel_table(std::size_t threads, const Options& opt) {
   const std::size_t n = 4096;
   const u64 p = generate_ntt_primes(50, n, 1)[0];
   const NttKernel& kern = dispatch_kernel(p);
   const Barrett br(p);
   Rng rng(5);
-  std::vector<u64> a(n), b(n), out(n), lo(n), hi(n);
+  std::vector<u64> a(n), b(n), out(n);
   rng.fill_uniform_mod(a, p);
   rng.fill_uniform_mod(b, p);
   // Arbitrary 64-bit inputs for the re-reduction kernel.
@@ -214,23 +214,6 @@ void bench_kernel_table(std::size_t threads, const Options& opt) {
   });
   run_bench("kernel_reduce_span", label, kern.name, threads, opt, [&] {
     kern.reduce_span(out.data(), wide.data(), n, p, br.ratio_hi());
-  });
-  run_bench("kernel_mul_acc_lazy", label, kern.name, threads, opt, [&] {
-    std::memset(lo.data(), 0, n * sizeof(u64));
-    std::memset(hi.data(), 0, n * sizeof(u64));
-    for (int d = 0; d < 3; ++d) {
-      kern.mul_acc_lazy(lo.data(), hi.data(), a.data(), b.data(), n);
-    }
-  });
-  // Accumulator state for the closing sweep (3 products: within bound).
-  std::memset(lo.data(), 0, n * sizeof(u64));
-  std::memset(hi.data(), 0, n * sizeof(u64));
-  for (int d = 0; d < 3; ++d) {
-    kern.mul_acc_lazy(lo.data(), hi.data(), a.data(), b.data(), n);
-  }
-  run_bench("kernel_reduce_acc_span", label, kern.name, threads, opt, [&] {
-    kern.reduce_acc_span(out.data(), lo.data(), hi.data(), n, p,
-                         br.ratio_hi(), br.ratio_lo());
   });
   // Quotient tables in the dispatched kernel's own Shoup convention
   // (floor(w * 2^shoup_shift / p): 64 for scalar/avx2/avx512, 52 for

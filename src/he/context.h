@@ -82,8 +82,6 @@ class HeContext {
   // Galois element implementing a rotation by `step` on the batched rows
   // (SEAL convention: generator 3 subgroup of Z_{2n}^*).
   u64 galois_elt_from_step(int step) const;
-  // Galois element for the row-swap (column rotation): 2n - 1.
-  u64 galois_elt_row_swap() const { return 2 * degree() - 1; }
 
   // x -> x^elt acting on NTT form.  The transform's slot i holds the
   // evaluation at psi^(2*bitrev(i)+1); the automorphism permutes those

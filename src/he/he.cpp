@@ -19,22 +19,6 @@ KeyGenerator::KeyGenerator(const HeContext& ctx, Rng& rng)
   sk_.s = std::move(s);
 }
 
-PublicKey KeyGenerator::make_public_key() {
-  PublicKey pk;
-  RnsPoly a = ctx_.sample_uniform(rng_);
-  ctx_.to_ntt(a);
-  RnsPoly e = ctx_.sample_error(rng_);
-  ctx_.to_ntt(e);
-  ctx_.scalar_multiply_inplace(e, ctx_.t());
-  // b = -(a*s + t*e)
-  RnsPoly b = ctx_.multiply(a, sk_.s);
-  ctx_.add_inplace(b, e);
-  ctx_.negate_inplace(b);
-  pk.a = std::move(a);
-  pk.b = std::move(b);
-  return pk;
-}
-
 KSwitchKey KeyGenerator::make_kswitch_key(const RnsPoly& target_ntt,
                                           std::uint32_t decomp_bits) {
   // One key pair per gadget digit (i, d):
@@ -59,15 +43,16 @@ KSwitchKey KeyGenerator::make_kswitch_key(const RnsPoly& target_ntt,
     for (std::size_t j = 0; j < ctx_.degree(); ++j) {
       bl[j] = add_mod(bl[j], mul_mod(scale, tl[j], qi), qi);
     }
-    key.b_shoup.push_back(shoup_table(b));
-    key.a_shoup.push_back(shoup_table(a));
-    key.a.push_back(std::move(a));
-    key.b.push_back(std::move(b));
+    append_kswitch_digit(ctx_, key, std::move(b), std::move(a));
   }
   return key;
 }
 
-RnsPoly compute_shoup_table(const HeContext& ctx, const RnsPoly& key_part) {
+namespace {
+
+// Elementwise Shoup quotients of a key polynomial, one pass that also
+// range-checks every residue against its modulus.
+RnsPoly shoup_table(const HeContext& ctx, const RnsPoly& key_part) {
   RnsPoly out(key_part.rns_size(), key_part.degree(), key_part.ntt_form);
   for (std::size_t j = 0; j < key_part.rns_size(); ++j) {
     const u64 qj = ctx.q(j);
@@ -78,14 +63,25 @@ RnsPoly compute_shoup_table(const HeContext& ctx, const RnsPoly& key_part) {
     const u64* src = key_part.limb(j);
     u64* dst = out.limb(j);
     for (std::size_t x = 0; x < key_part.degree(); ++x) {
+      if (src[x] >= qj) {
+        throw std::out_of_range("key residue " + std::to_string(src[x]) +
+                                " of limb " + std::to_string(j) +
+                                " is not below its modulus");
+      }
       dst[x] = static_cast<u64>((static_cast<u128>(src[x]) << shift) / qj);
     }
   }
   return out;
 }
 
-RnsPoly KeyGenerator::shoup_table(const RnsPoly& key_part) const {
-  return compute_shoup_table(ctx_, key_part);
+}  // namespace
+
+void append_kswitch_digit(const HeContext& ctx, KSwitchKey& key, RnsPoly b,
+                          RnsPoly a) {
+  key.b_shoup.push_back(shoup_table(ctx, b));
+  key.a_shoup.push_back(shoup_table(ctx, a));
+  key.b.push_back(std::move(b));
+  key.a.push_back(std::move(a));
 }
 
 RelinKey KeyGenerator::make_relin_key() {
@@ -112,11 +108,9 @@ void KeyGenerator::add_galois_key(GaloisKeys& keys, u64 elt) {
   keys.keys.emplace(elt, make_kswitch_key(s_gal, ctx_.galois_decomp_bits()));
 }
 
-GaloisKeys KeyGenerator::make_galois_keys(const std::vector<int>& steps,
-                                          bool include_row_swap) {
+GaloisKeys KeyGenerator::make_galois_keys(const std::vector<int>& steps) {
   GaloisKeys gk;
   for (int s : steps) add_galois_key(gk, ctx_.galois_elt_from_step(s));
-  if (include_row_swap) add_galois_key(gk, ctx_.galois_elt_row_swap());
   return gk;
 }
 
@@ -125,61 +119,28 @@ GaloisKeys KeyGenerator::make_galois_keys(const std::vector<int>& steps,
 // ---------------------------------------------------------------------------
 
 Encryptor::Encryptor(const HeContext& ctx, const SecretKey& sk, Rng& rng)
-    : ctx_(ctx), sk_(&sk), rng_(rng) {}
-
-Encryptor::Encryptor(const HeContext& ctx, const PublicKey& pk, Rng& rng)
-    : ctx_(ctx), pk_(&pk), rng_(rng) {}
-
-Ciphertext Encryptor::encrypt_zero() const {
-  Plaintext zero;
-  zero.coeffs.assign(ctx_.degree(), 0);
-  return encrypt(zero);
-}
+    : ctx_(ctx), sk_(sk), rng_(rng) {}
 
 Ciphertext Encryptor::encrypt(const Plaintext& pt) const {
   ++counters_.encryptions;
   RnsPoly m = ctx_.lift_plaintext(pt);
   ctx_.to_ntt(m);
 
+  // Symmetric: c1 = a (uniform), c0 = -(a*s) + t*e + m.
+  RnsPoly a = ctx_.sample_uniform(rng_);
+  ctx_.to_ntt(a);
+  RnsPoly e = ctx_.sample_error(rng_);
+  ctx_.to_ntt(e);
+  ctx_.scalar_multiply_inplace(e, ctx_.t());
+  RnsPoly c0 = ctx_.multiply(a, sk_.s);
+  ctx_.negate_inplace(c0);
+  ctx_.add_inplace(c0, e);
+  ctx_.add_inplace(c0, m);
   Ciphertext ct;
-  if (sk_ != nullptr) {
-    // Symmetric: c1 = a (uniform), c0 = -(a*s) + t*e + m.
-    RnsPoly a = ctx_.sample_uniform(rng_);
-    ctx_.to_ntt(a);
-    RnsPoly e = ctx_.sample_error(rng_);
-    ctx_.to_ntt(e);
-    ctx_.scalar_multiply_inplace(e, ctx_.t());
-    RnsPoly c0 = ctx_.multiply(a, sk_->s);
-    ctx_.negate_inplace(c0);
-    ctx_.add_inplace(c0, e);
-    ctx_.add_inplace(c0, m);
-    ct.parts.push_back(std::move(c0));
-    ct.parts.push_back(std::move(a));
-    // |t*e| <= t * eta
-    ct.noise_log2 =
-        std::log2(static_cast<double>(ctx_.t())) + std::log2(4.0);
-  } else {
-    // Asymmetric: u ternary; c0 = b*u + t*e0 + m, c1 = a*u + t*e1.
-    RnsPoly u = ctx_.sample_ternary(rng_);
-    ctx_.to_ntt(u);
-    RnsPoly e0 = ctx_.sample_error(rng_);
-    ctx_.to_ntt(e0);
-    ctx_.scalar_multiply_inplace(e0, ctx_.t());
-    RnsPoly e1 = ctx_.sample_error(rng_);
-    ctx_.to_ntt(e1);
-    ctx_.scalar_multiply_inplace(e1, ctx_.t());
-
-    RnsPoly c0 = ctx_.multiply(pk_->b, u);
-    ctx_.add_inplace(c0, e0);
-    ctx_.add_inplace(c0, m);
-    RnsPoly c1 = ctx_.multiply(pk_->a, u);
-    ctx_.add_inplace(c1, e1);
-    ct.parts.push_back(std::move(c0));
-    ct.parts.push_back(std::move(c1));
-    // |t*(e_pk*u + e0 + e1*s)| ~ t * 2n * eta
-    ct.noise_log2 = std::log2(static_cast<double>(ctx_.t())) +
-                    std::log2(4.0 * static_cast<double>(ctx_.degree()));
-  }
+  ct.parts.push_back(std::move(c0));
+  ct.parts.push_back(std::move(a));
+  // |t*e| <= t * eta
+  ct.noise_log2 = std::log2(static_cast<double>(ctx_.t())) + std::log2(4.0);
   return ct;
 }
 
@@ -442,14 +403,13 @@ HoistedKeySwitch::HoistedKeySwitch(const HeContext& ctx, const RnsPoly& c,
     return cbase != nullptr ? cbase + i * n_ : coeff_src->limb(i);
   };
   // Digit transforms use the LAZY-OUTPUT forward NTT: the final [0, p)
-  // correction sweep is skipped and digit limbs stay in [0, 4p).  Both
-  // consumers tolerate that — shoup_mul_acc_lazy2 accepts any redundant
-  // residue (any 64-bit value on the 64-convention tiers, anything below
-  // 2^52 on avx512ifma, and 4p < 2^52 holds at its p < 2^50 dispatch
-  // bound), and the 128-bit fallback re-reduces on the fly in apply().
-  // Every gadget-digit transform therefore drops one full pass over the
-  // polynomial.  Final key-switch outputs stay bit-identical to canonical
-  // digits: the accumulated lanes are fully reduced by add_reduce2p, and
+  // correction sweep is skipped and digit limbs stay in [0, 4p).  Their
+  // only consumer, shoup_mul_acc_lazy2, accepts any redundant residue (any
+  // 64-bit value on the 64-convention tiers, anything below 2^52 on
+  // avx512ifma, and 4p < 2^52 holds at its p < 2^50 dispatch bound), so
+  // every gadget-digit transform drops one full pass over the polynomial.
+  // Final key-switch outputs stay bit-identical to canonical digits: the
+  // accumulated lanes are fully reduced by add_reduce2p, and
   // congruent-mod-p inputs land on the same canonical result.
   if (decomp_bits == 0) {
     // CRT digits: digit(i, j) = (c mod q_i) mod q_j.  The diagonal is the
@@ -505,91 +465,40 @@ void HoistedKeySwitch::apply(u64 elt, const KSwitchKey& key, RnsPoly& acc0,
     throw std::invalid_argument(
         "HoistedKeySwitch::apply: key decomposition mismatch");
   }
+  if (key.b_shoup.size() != digit_count_ ||
+      key.a_shoup.size() != digit_count_) {
+    throw std::invalid_argument(
+        "HoistedKeySwitch::apply: key lacks its Shoup quotient tables");
+  }
   const std::uint32_t* table =
       elt == 1 ? nullptr : ctx_.galois_ntt_table(elt).data();
-  // Per limb j: accumulate the permuted-digit x key products lazily —
-  // Shoup-lazy when the key carries precomputed quotients (each product
-  // lands in [0, 2p) division-free and one conditional subtract keeps the
-  // running sum there), 128-bit lanes + one closing Barrett sweep
-  // otherwise.  Integer/modular addition commutes exactly, so results are
-  // independent of digit order and thread count.
-  const bool shoup = key.has_shoup();
+  // Per limb j: accumulate the permuted-digit x key products Shoup-lazily —
+  // each product lands in [0, 2p) division-free and one conditional
+  // subtract keeps the running sum there.  Modular addition commutes
+  // exactly, so results are independent of digit order and thread count.
   parallel_for(0, k_, n_ * 16 * digit_count_, [&](std::size_t j) {
     PolyArena& arena = PolyArena::local();
     const NttKernel& kern = ctx_.kernels(j);
-    const Barrett& br = ctx_.barrett(j);
+    const u64 p = ctx_.q(j);
     auto perm = table != nullptr ? arena.checkout(n_) : PolyArena::Scratch();
-    auto permute = [&](const u64* d) {
-      if (table == nullptr) return d;
-      u64* dst = perm.data();
-      for (std::size_t x = 0; x < n_; ++x) dst[x] = d[table[x]];
-      return static_cast<const u64*>(dst);
-    };
-    if (shoup) {
-      auto lane_b = arena.checkout(n_);
-      auto lane_a = arena.checkout(n_);
-      lane_b.zero();
-      lane_a.zero();
-      for (std::size_t f = 0; f < digit_count_; ++f) {
-        const u64* d = permute(digit(f, j));
-        kern.shoup_mul_acc_lazy2(lane_b.data(), lane_a.data(), d,
-                                 key.b[f].limb(j), key.b_shoup[f].limb(j),
-                                 key.a[f].limb(j), key.a_shoup[f].limb(j),
-                                 n_, br.modulus());
-      }
-      kern.add_reduce2p(acc0.limb(j), acc0.limb(j), lane_b.data(), n_,
-                        br.modulus());
-      kern.add_reduce2p(acc1.limb(j), acc1.limb(j), lane_a.data(), n_,
-                        br.modulus());
-      return;
-    }
-    // mul_acc_lazy accumulates one unreduced 128-bit product per digit per
-    // lane; the closing Barrett sweep needs the sum below q_j * 2^64, i.e.
-    // every digit limb fully reduced mod q_j so digits * q_j < 2^64 is
-    // exact.  Lazy-staged digits live in [0, 4p) and would break that
-    // bound, so this fallback canonicalizes each limb first (one
-    // reduce_span pass — exactly the pass the Shoup path above saves; its
-    // accumulators never leave [0, 2p) and need no bound at all).  The
-    // shared digits_ stay untouched, so a hoisted set re-canonicalizes
-    // once per apply() — acceptable on this path: it only serves keys
-    // without precomputed quotients (every key this library generates
-    // carries them), and mutating digits_ lazily would need cross-worker
-    // synchronization inside the rotation parallel_for.
-    if (static_cast<u128>(digit_count_) * br.modulus() >=
-        (static_cast<u128>(1) << 64)) {
-      throw std::invalid_argument(
-          "HoistedKeySwitch::apply: digit count * modulus exceeds the "
-          "128-bit lazy accumulation bound; regenerate the key with Shoup "
-          "tables or fewer/narrower digits");
-    }
-    auto canon = table == nullptr ? arena.checkout(n_) : PolyArena::Scratch();
-    auto canonical_digit = [&](const u64* d) {
-      // Permuted digits already live in this thread's perm scratch;
-      // reduce_span may alias out == a, so reduce in place there.
-      u64* dst = table != nullptr ? perm.data() : canon.data();
-      kern.reduce_span(dst, d, n_, br.modulus(), br.ratio_hi());
-      return static_cast<const u64*>(dst);
-    };
-    auto lo_b = arena.checkout(n_);
-    auto hi_b = arena.checkout(n_);
-    auto lo_a = arena.checkout(n_);
-    auto hi_a = arena.checkout(n_);
-    lo_b.zero();
-    hi_b.zero();
-    lo_a.zero();
-    hi_a.zero();
+    auto lane_b = arena.checkout(n_);
+    auto lane_a = arena.checkout(n_);
+    lane_b.zero();
+    lane_a.zero();
     for (std::size_t f = 0; f < digit_count_; ++f) {
-      const u64* d = canonical_digit(permute(digit(f, j)));
-      kern.mul_acc_lazy(lo_b.data(), hi_b.data(), d, key.b[f].limb(j), n_);
-      kern.mul_acc_lazy(lo_a.data(), hi_a.data(), d, key.a[f].limb(j), n_);
+      const u64* d = digit(f, j);
+      if (table != nullptr) {
+        u64* dst = perm.data();
+        for (std::size_t x = 0; x < n_; ++x) dst[x] = d[table[x]];
+        d = dst;
+      }
+      kern.shoup_mul_acc_lazy2(lane_b.data(), lane_a.data(), d,
+                               key.b[f].limb(j), key.b_shoup[f].limb(j),
+                               key.a[f].limb(j), key.a_shoup[f].limb(j), n_,
+                               p);
     }
-    auto tmp = arena.checkout(n_);
-    kern.reduce_acc_span(tmp.data(), lo_b.data(), hi_b.data(), n_,
-                         br.modulus(), br.ratio_hi(), br.ratio_lo());
-    kern.add(acc0.limb(j), acc0.limb(j), tmp.data(), n_, br.modulus());
-    kern.reduce_acc_span(tmp.data(), lo_a.data(), hi_a.data(), n_,
-                         br.modulus(), br.ratio_hi(), br.ratio_lo());
-    kern.add(acc1.limb(j), acc1.limb(j), tmp.data(), n_, br.modulus());
+    kern.add_reduce2p(acc0.limb(j), acc0.limb(j), lane_b.data(), n_, p);
+    kern.add_reduce2p(acc1.limb(j), acc1.limb(j), lane_a.data(), n_, p);
   });
 }
 
@@ -779,11 +688,6 @@ void Evaluator::rotate_rows_inplace(Ciphertext& a, int step,
   apply_galois_inplace(a, ctx_.galois_elt_from_step(step), gk);
 }
 
-void Evaluator::rotate_columns_inplace(Ciphertext& a,
-                                       const GaloisKeys& gk) const {
-  apply_galois_inplace(a, ctx_.galois_elt_row_swap(), gk);
-}
-
 void Evaluator::serialize(const Ciphertext& ct, ByteWriter& w) const {
   w.u32(static_cast<std::uint32_t>(ct.parts.size()));
   for (const auto& part : ct.parts) {
@@ -819,6 +723,19 @@ Ciphertext Evaluator::deserialize(ByteReader& r) const {
     }
     RnsPoly poly(k, static_cast<std::size_t>(n), ntt_form);
     r.bytes(poly.data(), poly.word_count() * sizeof(u64));
+    // Every kernel assumes canonical residues, and no honest sender ships
+    // anything else.
+    for (std::size_t i = 0; i < k; ++i) {
+      const u64 q = ctx_.q(i);
+      const u64* limb = poly.limb(i);
+      bool out_of_range = false;
+      for (std::size_t x = 0; x < n; ++x) out_of_range |= limb[x] >= q;
+      if (out_of_range) {
+        throw std::out_of_range("deserialize: residue of limb " +
+                                std::to_string(i) + " is not below q_" +
+                                std::to_string(i));
+      }
+    }
     ct.parts.push_back(std::move(poly));
   }
   ct.noise_log2 = r.f64();

@@ -72,11 +72,9 @@ class KeyGenerator {
   KeyGenerator(const HeContext& ctx, Rng& rng);
 
   const SecretKey& secret_key() const { return sk_; }
-  PublicKey make_public_key();
   RelinKey make_relin_key();
-  // Keys for the given rotation steps (plus the row swap if requested).
-  GaloisKeys make_galois_keys(const std::vector<int>& steps,
-                              bool include_row_swap = false);
+  // Keys for the given rotation steps.
+  GaloisKeys make_galois_keys(const std::vector<int>& steps);
   // Key for one explicit Galois element.
   void add_galois_key(GaloisKeys& keys, u64 elt);
 
@@ -85,20 +83,22 @@ class KeyGenerator {
   // (0 = one full-width digit per RNS limb; see keys.h).
   KSwitchKey make_kswitch_key(const RnsPoly& target_ntt,
                               std::uint32_t decomp_bits);
-  // Elementwise Shoup quotients of a key polynomial (per-limb modulus).
-  RnsPoly shoup_table(const RnsPoly& key_part) const;
 
   const HeContext& ctx_;
   Rng& rng_;
   SecretKey sk_;
 };
 
-// Elementwise Shoup quotients floor(elem << shoup_shift / q_j) of a key
-// polynomial.  Depends only on the public modulus chain, so key material
+// Appends one gadget digit (b, a), both NTT form, to `key` together with
+// their elementwise Shoup quotient tables floor(elem << shoup_shift / q_j).
+// The tables depend only on the public modulus chain, so key material
 // shipped over the wire (see ProtocolContext::transfer_keys) carries just
-// the (b, a) pairs and the receiver recomputes its quotient tables with
-// this — bit-identical to the generator's, since it is the same code.
-RnsPoly compute_shoup_table(const HeContext& ctx, const RnsPoly& key_part);
+// the (b, a) pairs, and the receiver rebuilds bit-identical tables through
+// this same function.  Throws std::out_of_range when a residue is not below
+// its modulus: shoup_mul_acc_lazy2 needs every key limb below q_j, and the
+// quotient of a larger residue does not fit 64 bits.
+void append_kswitch_digit(const HeContext& ctx, KSwitchKey& key, RnsPoly b,
+                          RnsPoly a);
 
 class Encryptor {
  public:
@@ -106,18 +106,14 @@ class Encryptor {
   // ciphertexts carry the least noise, which is what the protocol analysis
   // assumes for re-encrypted shares.
   Encryptor(const HeContext& ctx, const SecretKey& sk, Rng& rng);
-  // Public-key encryptor (any party).
-  Encryptor(const HeContext& ctx, const PublicKey& pk, Rng& rng);
 
   Ciphertext encrypt(const Plaintext& pt) const;
-  Ciphertext encrypt_zero() const;
 
   HeOpCounters& counters() const { return counters_; }
 
  private:
   const HeContext& ctx_;
-  const SecretKey* sk_ = nullptr;
-  const PublicKey* pk_ = nullptr;
+  const SecretKey& sk_;
   Rng& rng_;
   mutable HeOpCounters counters_;
 };
@@ -222,7 +218,9 @@ class HoistedKeySwitch {
                    std::uint32_t decomp_bits);
 
   // Accumulates the key-switch of galois_elt(c) into (acc0, acc1), both
-  // NTT form.  elt == 1 is the identity (plain key switch of c).
+  // NTT form.  elt == 1 is the identity (plain key switch of c).  Throws
+  // std::invalid_argument when the key's gadget layout differs from this
+  // decomposition or the key lacks its Shoup quotient tables.
   void apply(u64 elt, const KSwitchKey& key, RnsPoly& acc0,
              RnsPoly& acc1) const;
 
@@ -240,8 +238,7 @@ class HoistedKeySwitch {
   // in the redundant range [0, 4p) (congruent to the canonical transform;
   // the decomp_bits == 0 diagonal reuses canonical ciphertext limbs) — the
   // Shoup-lazy accumulation consumes them directly, saving one full
-  // correction pass per digit limb.  The 128-bit fallback path reduces
-  // them on the fly (see apply()).
+  // correction pass per digit limb.
   PolyArena::Scratch digits_;  // digit_count_ x k limbs, digit-major, NTT
 };
 
@@ -271,8 +268,6 @@ class Evaluator {
 
   // Rotates batched rows left by `step` (negative = right).
   void rotate_rows_inplace(Ciphertext& a, int step, const GaloisKeys& gk) const;
-  // Swaps the two batched rows.
-  void rotate_columns_inplace(Ciphertext& a, const GaloisKeys& gk) const;
   void apply_galois_inplace(Ciphertext& a, u64 elt, const GaloisKeys& gk) const;
 
   // All rotations of `a` by the given steps, hoisted: one digit

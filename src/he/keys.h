@@ -29,11 +29,6 @@ struct SecretKey {
   RnsPoly s;  // NTT form
 };
 
-struct PublicKey {
-  RnsPoly b;  // -(a*s + t*e), NTT form
-  RnsPoly a;  // uniform, NTT form
-};
-
 struct KSwitchKey {
   // One (b, a) pair per gadget digit, all NTT form, flattened in the order
   // HeContext::decomp_layout(decomp_bits) enumerates: limb-major, then
@@ -42,10 +37,11 @@ struct KSwitchKey {
   std::vector<RnsPoly> a;
   // Elementwise Shoup quotients floor(elem * 2^shift / q_j) of b / a, where
   // shift is the consuming kernel set's shoup_shift (64 for scalar/avx2/
-  // avx512, 52 for avx512ifma) — the key limbs are the fixed operand of
-  // every key-switch product, so the quotients are precomputed once at
-  // keygen and the hot loop accumulates division-free products in [0, 2p)
-  // (kernel shoup_mul_acc_lazy2).
+  // avx512, 52 for avx512ifma).  The key limbs are the fixed operand of
+  // every key-switch product, so every key carries these tables: keygen and
+  // the wire decoder both build them through append_kswitch_digit, and
+  // HoistedKeySwitch::apply rejects a key without them.  The hot loop then
+  // accumulates division-free products in [0, 2p) (shoup_mul_acc_lazy2).
   std::vector<RnsPoly> b_shoup;
   std::vector<RnsPoly> a_shoup;
   // Sub-digit width this key was generated for (0 = one digit per limb).
@@ -53,7 +49,6 @@ struct KSwitchKey {
 
   bool empty() const { return b.empty(); }
   std::size_t digits() const { return b.size(); }
-  bool has_shoup() const { return b_shoup.size() == b.size() && !b.empty(); }
 };
 
 struct RelinKey {

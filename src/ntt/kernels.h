@@ -2,14 +2,18 @@
 //
 // A kernel set is a table of function pointers implementing the negacyclic
 // NTT butterflies and the elementwise RNS limb operations on raw u64 spans.
-// Four implementations exist:
-//   scalar      — portable reference (always available)
-//   avx2        — 4-lane, 32x32 partial products (kernels_avx2.cpp, -mavx2)
+// Four tiers exist.  Where a vector kernel lost to scalar in every
+// measured rep (README, "SIMD NTT kernels"), its tier keeps scalar's entry:
+//   scalar      — portable reference (always available), every entry
+//   avx2        — 4-lane (kernels_avx2.cpp, -mavx2): every entry except
+//                 reduce_span and shoup_mul_acc_lazy2, whose AVX2 kernels
+//                 lost to scalar in every rep and so run scalar code
 //   avx512      — 8-lane, AVX512-DQ vpmullq low-half products
-//                 (kernels_avx512.cpp, -mavx512f -mavx512dq)
-//   avx512ifma  — avx512 with the NTT butterflies and Shoup-lazy
-//                 accumulation rebuilt on vpmadd52 52-bit multiply-adds
-//                 (same TU, -mavx512ifma); requires 4p < 2^52, i.e. p < 2^50
+//                 (kernels_avx512.cpp, -mavx512f -mavx512dq), every entry
+//   avx512ifma  — avx512 with the NTT butterflies, scalar_mul and the
+//                 Shoup-lazy accumulation rebuilt on vpmadd52 52-bit
+//                 multiply-adds (same TU, -mavx512ifma); requires
+//                 4p < 2^52, i.e. p < 2^50
 // All use HEXL-style lazy reduction internally — butterfly values live in
 // the redundant range [0, 4p) (forward) / [0, 2p) (inverse) and a single
 // correction sweep at the end brings them back to [0, p) — so every kernel
@@ -22,7 +26,7 @@
 // Shoup tables, scalar_mul operands): floor(w * 2^shoup_shift / p).  The
 // scalar/avx2/avx512 tiers use 64 (one 64x64 high-half multiply per Shoup
 // product); avx512ifma uses 52 so the quotient estimate is a single
-// vpmadd52hi.  Table builders (Ntt, KeyGenerator::shoup_table,
+// vpmadd52hi.  Table builders (Ntt, append_kswitch_digit,
 // HeContext::scalar_multiply_inplace) must honor the shift of the kernel
 // set that will consume the table.
 //
@@ -163,21 +167,11 @@ struct NttKernel {
   // word of floor(2^128 / p) (Barrett::ratio_hi()).  May alias out == a.
   void (*reduce_span)(u64* out, const u64* a, std::size_t n, u64 p,
                       u64 ratio_hi);
-  // Lazy 128-bit accumulate: (hi[i]:lo[i]) += a[i] * b[i], no reduction at
-  // all.  Caller bounds the running sum below p * 2^64 — k accumulated
-  // products of values < p need k * p < 2^64 (k <= 8 at the p < 2^61
-  // library bound).
-  void (*mul_acc_lazy)(u64* lo, u64* hi, const u64* a, const u64* b,
-                       std::size_t n);
-  // out[i] = (hi[i]*2^64 + lo[i]) mod p — the single Barrett sweep that
-  // closes a mul_acc_lazy chain.
-  void (*reduce_acc_span)(u64* out, const u64* lo, const u64* hi,
-                          std::size_t n, u64 p, u64 ratio_hi, u64 ratio_lo);
   // Dual-stream Shoup-lazy accumulate: acc0[i] += a[i] * w0[i] mod⁺ p and
   // acc1[i] += a[i] * w1[i] mod⁺ p in one pass over the shared operand `a`
   // (the key-switch digit, consumed by the key's b and a limbs together).
-  // w*_shoup[i] holds floor(w*[i] * 2^shoup_shift / p), precomputed at
-  // keygen for the fixed key streams in this kernel set's convention.
+  // w*_shoup[i] holds floor(w*[i] * 2^shoup_shift / p), built once with
+  // the key (append_kswitch_digit) in this kernel set's convention.
   // Each product lands in [0, 2p) with no division and a single
   // conditional subtraction keeps the accumulators in [0, 2p) — the
   // running sums never widen past 64 bits regardless of how many digits

@@ -1,5 +1,10 @@
 // AVX2 kernel set: 4-lane u64 butterflies and limb ops.
 //
+// avx2_kernel() is scalar_kernel()'s table with every entry overridden
+// except reduce_span and shoup_mul_acc_lazy2: their AVX2 kernels lost to
+// scalar at n=4096 in every measured rep (README, "SIMD NTT kernels"), so
+// the table keeps scalar's.
+//
 // AVX2 has no 64x64 multiply, so the Shoup/Barrett products are assembled
 // from 32x32 partial products (vpmuludq) — mul64_lo / mul64_hi below.  The
 // butterflies use the same lazy-reduction ranges as the scalar kernels
@@ -361,118 +366,6 @@ void scalar_mul_avx2(u64* out, const u64* a, std::size_t n, u64 w,
   }
 }
 
-void reduce_span_avx2(u64* out, const u64* a, std::size_t n, u64 p,
-                      u64 ratio_hi) {
-  // Single-word Barrett quotient: q = hi64(x * ratio_hi) undershoots the
-  // true quotient by at most 2, so r = x - q*p < 3p and the 2p / p
-  // conditional-subtract chain fully reduces.
-  const __m256i vp = bcast(p);
-  const __m256i v2p = bcast(2 * p);
-  const __m256i rhi = bcast(ratio_hi);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x = load4(a + i);
-    const __m256i q = mul64_hi(x, rhi);
-    __m256i r = _mm256_sub_epi64(x, mul64_lo(q, vp));
-    r = csub(r, v2p);
-    store4(out + i, csub(r, vp));
-  }
-  for (; i < n; ++i) {
-    const u64 x = a[i];
-    const u64 q = static_cast<u64>((static_cast<u128>(x) * ratio_hi) >> 64);
-    u64 r = x - q * p;
-    while (r >= p) r -= p;
-    out[i] = r;
-  }
-}
-
-void mul_acc_lazy_avx2(u64* lo, u64* hi, const u64* a, const u64* b,
-                       std::size_t n) {
-  const __m256i sign =
-      _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ULL));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x = load4(a + i);
-    const __m256i y = load4(b + i);
-    const __m256i plo = mul64_lo(x, y);
-    const __m256i phi = mul64_hi(x, y);
-    const __m256i s = _mm256_add_epi64(load4(lo + i), plo);
-    // Unsigned carry: s < plo after the add means the low word wrapped.
-    // cmpgt yields all-ones (-1) on carry; subtracting it adds the carry.
-    const __m256i carry = _mm256_cmpgt_epi64(_mm256_xor_si256(plo, sign),
-                                             _mm256_xor_si256(s, sign));
-    store4(lo + i, s);
-    store4(hi + i, _mm256_sub_epi64(
-                       _mm256_add_epi64(load4(hi + i), phi), carry));
-  }
-  for (; i < n; ++i) {
-    const u128 prod = static_cast<u128>(a[i]) * b[i];
-    const u64 plo = static_cast<u64>(prod);
-    const u64 s = lo[i] + plo;
-    hi[i] += static_cast<u64>(prod >> 64) + (s < plo ? 1 : 0);
-    lo[i] = s;
-  }
-}
-
-void reduce_acc_span_avx2(u64* out, const u64* lo, const u64* hi,
-                          std::size_t n, u64 p, u64 ratio_hi, u64 ratio_lo) {
-  // Same quotient shape as barrett_mul4 with the product words given
-  // directly; requires hi*2^64 + lo < p*2^64 so the quotient fits 64 bits
-  // (guaranteed by the mul_acc_lazy accumulation bound k*p < 2^64).
-  const __m256i vp = bcast(p);
-  const __m256i v2p = bcast(2 * p);
-  const __m256i v4p = bcast(4 * p);
-  const __m256i rhi = bcast(ratio_hi);
-  const __m256i rlo = bcast(ratio_lo);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i l = load4(lo + i);
-    const __m256i h = load4(hi + i);
-    const __m256i q = _mm256_add_epi64(
-        mul64_lo(h, rhi),
-        _mm256_add_epi64(mul64_hi(h, rlo), mul64_hi(l, rhi)));
-    __m256i r = _mm256_sub_epi64(l, mul64_lo(q, vp));
-    r = csub(r, v4p);
-    r = csub(r, v2p);
-    store4(out + i, csub(r, vp));
-  }
-  for (; i < n; ++i) {
-    const u128 acc = (static_cast<u128>(hi[i]) << 64) | lo[i];
-    out[i] = barrett_reduce128(acc, p, ratio_hi, ratio_lo);
-  }
-}
-
-void shoup_mul_acc_lazy2_avx2(u64* acc0, u64* acc1, const u64* a,
-                              const u64* w0, const u64* w0_shoup,
-                              const u64* w1, const u64* w1_shoup,
-                              std::size_t n, u64 p) {
-  const __m256i vp = bcast(p);
-  const __m256i v2p = bcast(2 * p);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x = load4(a + i);
-    const __m256i t0 = shoup_lazy(x, load4(w0 + i), load4(w0_shoup + i),
-                                  vp);  // [0, 2p)
-    store4(acc0 + i, csub(_mm256_add_epi64(load4(acc0 + i), t0), v2p));
-    const __m256i t1 = shoup_lazy(x, load4(w1 + i), load4(w1_shoup + i), vp);
-    store4(acc1 + i, csub(_mm256_add_epi64(load4(acc1 + i), t1), v2p));
-  }
-  const u64 two_p = 2 * p;
-  for (; i < n; ++i) {
-    const u64 x = a[i];
-    const u64 q0 =
-        static_cast<u64>((static_cast<u128>(x) * w0_shoup[i]) >> 64);
-    u64 s0 = acc0[i] + (w0[i] * x - q0 * p);
-    if (s0 >= two_p) s0 -= two_p;
-    acc0[i] = s0;
-    const u64 q1 =
-        static_cast<u64>((static_cast<u128>(x) * w1_shoup[i]) >> 64);
-    u64 s1 = acc1[i] + (w1[i] * x - q1 * p);
-    if (s1 >= two_p) s1 -= two_p;
-    acc1[i] = s1;
-  }
-}
-
 void add_reduce2p_avx2(u64* out, const u64* a, const u64* b, std::size_t n,
                        u64 p) {
   const __m256i vp = bcast(p);
@@ -488,28 +381,28 @@ void add_reduce2p_avx2(u64* out, const u64* a, const u64* b, std::size_t n,
   }
 }
 
-const NttKernel kAvx2Kernel = {
-    .name = "avx2",
-    .shoup_shift = 64,
-    .fwd_ntt = fwd_ntt_avx2,
-    .fwd_ntt_lazy = fwd_ntt_lazy_avx2,
-    .inv_ntt = inv_ntt_avx2,
-    .add = add_avx2,
-    .sub = sub_avx2,
-    .neg = neg_avx2,
-    .mul = mul_avx2,
-    .mul_acc = mul_acc_avx2,
-    .scalar_mul = scalar_mul_avx2,
-    .reduce_span = reduce_span_avx2,
-    .mul_acc_lazy = mul_acc_lazy_avx2,
-    .reduce_acc_span = reduce_acc_span_avx2,
-    .shoup_mul_acc_lazy2 = shoup_mul_acc_lazy2_avx2,
-    .add_reduce2p = add_reduce2p_avx2,
-};
-
 }  // namespace
 
-const NttKernel* avx2_kernel() { return &kAvx2Kernel; }
+const NttKernel* avx2_kernel() {
+  // A function-local static, so the copy of scalar_kernel() never depends
+  // on cross-TU static-init order.
+  static const NttKernel kernel = [] {
+    NttKernel k = scalar_kernel();
+    k.name = "avx2";
+    k.fwd_ntt = fwd_ntt_avx2;
+    k.fwd_ntt_lazy = fwd_ntt_lazy_avx2;
+    k.inv_ntt = inv_ntt_avx2;
+    k.add = add_avx2;
+    k.sub = sub_avx2;
+    k.neg = neg_avx2;
+    k.mul = mul_avx2;
+    k.mul_acc = mul_acc_avx2;
+    k.scalar_mul = scalar_mul_avx2;
+    k.add_reduce2p = add_reduce2p_avx2;
+    return k;
+  }();
+  return &kernel;
+}
 
 }  // namespace primer
 

@@ -24,8 +24,8 @@
 //   means 4p < 2^52, i.e. p < 2^50 (the HEXL IFMA bound) — enforced by
 //   dispatch_kernel.  Sub-52-bit moduli in [2^50, 2^52) stay on the DQ
 //   tier.  Ops that involve no Shoup quotient (add/sub/neg, Barrett
-//   mul/mul_acc, reduce_span, the 128-bit lazy accumulator) are shared
-//   with the DQ tier unchanged.
+//   mul/mul_acc, reduce_span, add_reduce2p) are shared with the DQ tier
+//   unchanged.
 //
 // The final two forward stages and first two inverse stages (butterfly
 // gaps 4, 2, 1) interleave operands within a vector; they are handled with
@@ -407,58 +407,6 @@ void reduce_span_avx512(u64* out, const u64* a, std::size_t n, u64 p,
   }
 }
 
-void mul_acc_lazy_avx512(u64* lo, u64* hi, const u64* a, const u64* b,
-                         std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i x = load8(a + i);
-    const __m512i y = load8(b + i);
-    const __m512i plo = mul64_lo(x, y);
-    const __m512i phi = mul64_hi(x, y);
-    const __m512i s = _mm512_add_epi64(load8(lo + i), plo);
-    // Unsigned carry: s < plo after the add means the low word wrapped.
-    const __mmask8 carry = _mm512_cmplt_epu64_mask(s, plo);
-    store8(lo + i, s);
-    const __m512i h = _mm512_add_epi64(load8(hi + i), phi);
-    store8(hi + i,
-           _mm512_mask_add_epi64(h, carry, h, _mm512_set1_epi64(1)));
-  }
-  for (; i < n; ++i) {
-    const u128 prod = static_cast<u128>(a[i]) * b[i];
-    const u64 plo = static_cast<u64>(prod);
-    const u64 s = lo[i] + plo;
-    hi[i] += static_cast<u64>(prod >> 64) + (s < plo ? 1 : 0);
-    lo[i] = s;
-  }
-}
-
-void reduce_acc_span_avx512(u64* out, const u64* lo, const u64* hi,
-                            std::size_t n, u64 p, u64 ratio_hi, u64 ratio_lo) {
-  // Same quotient shape as barrett_mul8 with the product words given
-  // directly; requires hi*2^64 + lo < p*2^64 (the mul_acc_lazy bound).
-  const __m512i vp = bcast8(p);
-  const __m512i v2p = bcast8(2 * p);
-  const __m512i v4p = bcast8(4 * p);
-  const __m512i rhi = bcast8(ratio_hi);
-  const __m512i rlo = bcast8(ratio_lo);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i l = load8(lo + i);
-    const __m512i h = load8(hi + i);
-    const __m512i q = _mm512_add_epi64(
-        mul64_lo(h, rhi),
-        _mm512_add_epi64(mul64_hi(h, rlo), mul64_hi(l, rhi)));
-    __m512i r = _mm512_sub_epi64(l, mul64_lo(q, vp));
-    r = csub(r, v4p);
-    r = csub(r, v2p);
-    store8(out + i, csub(r, vp));
-  }
-  for (; i < n; ++i) {
-    const u128 acc = (static_cast<u128>(hi[i]) << 64) | lo[i];
-    out[i] = barrett_reduce128(acc, p, ratio_hi, ratio_lo);
-  }
-}
-
 void shoup_mul_acc_lazy2_avx512(u64* acc0, u64* acc1, const u64* a,
                                 const u64* w0, const u64* w0_shoup,
                                 const u64* w1, const u64* w1_shoup,
@@ -518,8 +466,6 @@ const NttKernel kAvx512Kernel = {
     .mul_acc = mul_acc_avx512,
     .scalar_mul = scalar_mul_avx512,
     .reduce_span = reduce_span_avx512,
-    .mul_acc_lazy = mul_acc_lazy_avx512,
-    .reduce_acc_span = reduce_acc_span_avx512,
     .shoup_mul_acc_lazy2 = shoup_mul_acc_lazy2_avx512,
     .add_reduce2p = add_reduce2p_avx512,
 };
@@ -747,8 +693,6 @@ const NttKernel kAvx512IfmaKernel = {
     .mul_acc = mul_acc_avx512,
     .scalar_mul = scalar_mul_ifma,
     .reduce_span = reduce_span_avx512,
-    .mul_acc_lazy = mul_acc_lazy_avx512,
-    .reduce_acc_span = reduce_acc_span_avx512,
     .shoup_mul_acc_lazy2 = shoup_mul_acc_lazy2_ifma,
     .add_reduce2p = add_reduce2p_avx512,
 };

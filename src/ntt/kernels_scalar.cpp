@@ -133,25 +133,6 @@ void reduce_span_scalar(u64* out, const u64* a, std::size_t n, u64 p,
   }
 }
 
-void mul_acc_lazy_scalar(u64* lo, u64* hi, const u64* a, const u64* b,
-                         std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const u128 prod = static_cast<u128>(a[i]) * b[i];
-    const u64 plo = static_cast<u64>(prod);
-    const u64 s = lo[i] + plo;
-    hi[i] += static_cast<u64>(prod >> 64) + (s < plo ? 1 : 0);
-    lo[i] = s;
-  }
-}
-
-void reduce_acc_span_scalar(u64* out, const u64* lo, const u64* hi,
-                            std::size_t n, u64 p, u64 ratio_hi, u64 ratio_lo) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const u128 acc = (static_cast<u128>(hi[i]) << 64) | lo[i];
-    out[i] = barrett_reduce128(acc, p, ratio_hi, ratio_lo);
-  }
-}
-
 void shoup_mul_acc_lazy2_scalar(u64* acc0, u64* acc1, const u64* a,
                                 const u64* w0, const u64* w0_shoup,
                                 const u64* w1, const u64* w1_shoup,
@@ -190,8 +171,6 @@ const NttKernel kScalarKernel = {
     .mul_acc = mul_acc_scalar,
     .scalar_mul = scalar_mul_scalar,
     .reduce_span = reduce_span_scalar,
-    .mul_acc_lazy = mul_acc_lazy_scalar,
-    .reduce_acc_span = reduce_acc_span_scalar,
     .shoup_mul_acc_lazy2 = shoup_mul_acc_lazy2_scalar,
     .add_reduce2p = add_reduce2p_scalar,
 };

@@ -70,10 +70,6 @@ void Ntt::forward_batch(std::vector<std::vector<u64>>& polys) const {
   parallel_for(0, polys.size(), [&](std::size_t i) { forward(polys[i]); });
 }
 
-void Ntt::inverse_batch(std::vector<std::vector<u64>>& polys) const {
-  parallel_for(0, polys.size(), [&](std::size_t i) { inverse(polys[i]); });
-}
-
 void Ntt::pointwise(const std::vector<u64>& a, const std::vector<u64>& b,
                     std::vector<u64>& out) const {
   if (a.size() != n_ || b.size() != n_) {

@@ -76,12 +76,11 @@ class Ntt {
   void forward(std::vector<u64>& a) const;
   void inverse(std::vector<u64>& a) const;
 
-  // Batched transforms over independent polynomials, parallelized across
-  // the global executor (common/parallel.h).  Each polynomial is
-  // transformed exactly as by forward()/inverse(), so results are
-  // bit-identical to the serial loop regardless of thread count.
+  // Batched forward transforms over independent polynomials, parallelized
+  // across the global executor (common/parallel.h).  Each polynomial is
+  // transformed exactly as by forward(), so results are bit-identical to
+  // the serial loop regardless of thread count.
   void forward_batch(std::vector<std::vector<u64>>& polys) const;
-  void inverse_batch(std::vector<std::vector<u64>>& polys) const;
 
   // out[i] = a[i] * b[i] mod p over length-n spans (Barrett constants are
   // precomputed members — nothing is rebuilt per call).

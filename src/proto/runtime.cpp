@@ -257,6 +257,8 @@ void write_kswitch(ByteWriter& w, const KSwitchKey& key) {
 
 // Shoup quotient tables are never transmitted: they are deterministic in
 // the public modulus chain, so the receiver rebuilds them locally.
+// append_kswitch_digit also rejects any residue that is not below its
+// modulus.
 KSwitchKey read_kswitch(const std::vector<std::uint8_t>& payload,
                         const HeContext& he) {
   ByteReader r(payload);
@@ -273,17 +275,10 @@ KSwitchKey read_kswitch(const std::vector<std::uint8_t>& payload,
                              " gadget digits, layout expects " +
                              std::to_string(expected));
   }
-  key.b.reserve(digits);
-  key.a.reserve(digits);
-  key.b_shoup.reserve(digits);
-  key.a_shoup.reserve(digits);
   for (std::uint32_t i = 0; i < digits; ++i) {
     RnsPoly b = read_poly(r, he);
     RnsPoly a = read_poly(r, he);
-    key.b_shoup.push_back(compute_shoup_table(he, b));
-    key.a_shoup.push_back(compute_shoup_table(he, a));
-    key.b.push_back(std::move(b));
-    key.a.push_back(std::move(a));
+    append_kswitch_digit(he, key, std::move(b), std::move(a));
   }
   if (!r.done()) throw std::runtime_error("trailing bytes after key digits");
   return key;
@@ -444,6 +439,10 @@ MatI ProtocolContext::recv_ring(Party to, std::size_t rows, std::size_t cols) {
     for (auto& v : m.data()) {
       std::int64_t x = 0;
       r.bytes(&x, bytes_per);
+      if (static_cast<std::uint64_t>(x) >= t()) {
+        throw std::out_of_range("recv_ring: share " + std::to_string(x) +
+                                " is not below t");
+      }
       v = x;
     }
     return m;

@@ -1,0 +1,85 @@
+// Exact transcript counters of the two single-client benchmark shapes.
+//
+// Wire bytes, flights, frames, HE operation counts and garbled-circuit sizes
+// depend neither on the host, the thread count, the kernel tier nor the
+// tokens, so every one is pinned to an exact value here.  A change that moves
+// a count must edit its row below, which puts the move in review.  Each shape
+// runs two queries on one engine, as the benchmark does: the first ships the
+// client's keys, the second sends none.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "nn/model.h"
+#include "proto/primer.h"
+
+namespace primer {
+namespace {
+
+struct Counts {
+  std::uint64_t bytes, rounds, online_rounds, frames;
+  std::uint64_t rotations, plain_mults, ct_mults;
+  std::uint64_t and_gates, table_bytes;
+};
+
+// BERT-nano, Primer-FP, kProd8192 (the nano-prod-fp shape).
+constexpr Counts kNanoProdFp[] = {
+    {297288894, 144, 84, 370, 1020, 427, 0, 2271102, 72675264},
+    {90833304, 143, 84, 281, 1020, 427, 0, 2271102, 72675264},
+};
+// 2-block BERT-nano, Primer-FPC, kProto2048 (the nano2-proto-fpc shape).
+constexpr Counts kNano2ProtoFpc[] = {
+    {170576137, 270, 160, 581, 1016, 1088, 0, 4131900, 132220800},
+    {144320207, 269, 160, 535, 1016, 1088, 0, 4131900, 132220800},
+};
+
+Counts counts_of(const PrimerRunResult& r) {
+  const PhaseCost online = r.costs.phase_total("online");
+  PhaseCost he = r.costs.phase_total("offline");
+  he += online;
+  return {r.total_bytes,   r.rounds,      online.rounds,
+          r.frames_sent,   he.he_rotations, he.he_mults,
+          he.he_ct_mults,  r.gc_and_gates, r.gc_table_bytes};
+}
+
+void expect_counts(const BertConfig& cfg, PrimerVariant variant,
+                   HeProfile profile, const Counts (&want)[2]) {
+  Rng weight_rng(2026);
+  PrimerEngine engine(quantize(BertWeightsD::random(cfg, weight_rng)),
+                      variant, profile, /*seed=*/7);
+  const std::vector<std::vector<std::size_t>> queries = {{3, 17, 9, 28},
+                                                         {30, 0, 12, 5}};
+  for (std::size_t run = 0; run < queries.size(); ++run) {
+    SCOPED_TRACE(cfg.name + " run " + std::to_string(run + 1));
+    const Counts got = counts_of(engine.run(queries[run]));
+    const Counts& w = want[run];
+    EXPECT_EQ(got.bytes, w.bytes);
+    EXPECT_EQ(got.rounds, w.rounds);
+    EXPECT_EQ(got.online_rounds, w.online_rounds);
+    EXPECT_EQ(got.frames, w.frames);
+    EXPECT_EQ(got.rotations, w.rotations);
+    EXPECT_EQ(got.plain_mults, w.plain_mults);
+    EXPECT_EQ(got.ct_mults, w.ct_mults);
+    EXPECT_EQ(got.and_gates, w.and_gates);
+    EXPECT_EQ(got.table_bytes, w.table_bytes);
+  }
+}
+
+TEST(TranscriptCounts, NanoProdFp) {
+  expect_counts(bert_nano(), PrimerVariant::kFP, HeProfile::kProd8192,
+                kNanoProdFp);
+}
+
+TEST(TranscriptCounts, TwoBlockNanoProtoFpc) {
+  BertConfig cfg = bert_nano();
+  cfg.name = "BERT-nano-2blk";
+  cfg.blocks = 2;
+  expect_counts(cfg, PrimerVariant::kFPC, HeProfile::kProto2048,
+                kNano2ProtoFpc);
+}
+
+}  // namespace
+}  // namespace primer

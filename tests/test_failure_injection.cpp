@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
@@ -412,6 +413,48 @@ TEST(CorruptionMatrix, ValidFrameGarbagePayloadIsMalformed) {
     FAIL() << "expected ProtocolError";
   } catch (const ProtocolError& e) {
     EXPECT_EQ(e.kind(), ProtocolErrorKind::kMalformed);
+  }
+}
+
+// Checksum-valid frames that each carry one value no honest peer sends: a
+// key residue equal to its modulus (its Shoup quotient would not fit 64
+// bits and silently corrupt every rotation), a ciphertext residue of
+// 2^64 - 1 or equal to its modulus, and a ring share equal to t.  Each must
+// be rejected as kMalformed by the decoder, not absorbed into the
+// arithmetic.
+TEST(CorruptionMatrix, OutOfRangeWireValuesAreMalformed) {
+  const auto expect_malformed = [](const std::function<void()>& fn) {
+    try {
+      fn();
+      FAIL() << "expected ProtocolError";
+    } catch (const ProtocolError& e) {
+      EXPECT_EQ(e.kind(), ProtocolErrorKind::kMalformed) << e.what();
+    }
+  };
+  {
+    SCOPED_TRACE("key residue == q_0");
+    ProtocolContext pc(HeProfile::kTest2048, 3, {1});
+    ASSERT_FALSE(pc.keys.gk.keys.empty());
+    pc.keys.gk.keys.begin()->second.b[0].limb(0)[5] = pc.he.q(0);
+    expect_malformed([&] { pc.transfer_keys(); });
+  }
+  for (const bool at_modulus : {false, true}) {
+    SCOPED_TRACE(at_modulus ? "ciphertext residue == q" :
+                              "ciphertext residue == 2^64 - 1");
+    ProtocolContext pc(HeProfile::kTest2048, 3, {1});
+    Ciphertext ct = pc.enc.encrypt(pc.encoder.encode({1, 2, 3}));
+    const std::size_t limb = pc.he.rns_size() - 1;
+    ct.parts[1].limb(limb)[9] = at_modulus ? pc.he.q(limb) : ~u64{0};
+    pc.send_cts(Party::kServer, {ct});
+    expect_malformed([&] { (void)pc.recv_cts(Party::kClient); });
+  }
+  {
+    SCOPED_TRACE("ring share == t");
+    ProtocolContext pc(HeProfile::kTest2048, 3, {1});
+    MatI m(2, 2);
+    m(1, 0) = static_cast<std::int64_t>(pc.t());
+    pc.send_ring(Party::kServer, m);
+    expect_malformed([&] { (void)pc.recv_ring(Party::kClient, 2, 2); });
   }
 }
 

@@ -22,20 +22,17 @@ class HeTest : public ::testing::Test {
     ctx_ = new HeContext(make_params(HeProfile::kTest2048));
     rng_ = new Rng(2024);
     keygen_ = new KeyGenerator(*ctx_, *rng_);
-    pk_ = new PublicKey(keygen_->make_public_key());
     rk_ = new RelinKey(keygen_->make_relin_key());
-    gk_ = new GaloisKeys(
-        keygen_->make_galois_keys({1, 2, -1, 5}, /*include_row_swap=*/true));
+    gk_ = new GaloisKeys(keygen_->make_galois_keys({1, 2, -1, 5}));
     encoder_ = new BatchEncoder(*ctx_);
     enc_sym_ = new Encryptor(*ctx_, keygen_->secret_key(), *rng_);
-    enc_pub_ = new Encryptor(*ctx_, *pk_, *rng_);
     dec_ = new Decryptor(*ctx_, keygen_->secret_key());
     eval_ = new Evaluator(*ctx_);
   }
 
   static void TearDownTestSuite() {
-    delete eval_; delete dec_; delete enc_pub_; delete enc_sym_;
-    delete encoder_; delete gk_; delete rk_; delete pk_; delete keygen_;
+    delete eval_; delete dec_; delete enc_sym_;
+    delete encoder_; delete gk_; delete rk_; delete keygen_;
     delete rng_; delete ctx_;
     ctx_ = nullptr;
   }
@@ -49,12 +46,10 @@ class HeTest : public ::testing::Test {
   static HeContext* ctx_;
   static Rng* rng_;
   static KeyGenerator* keygen_;
-  static PublicKey* pk_;
   static RelinKey* rk_;
   static GaloisKeys* gk_;
   static BatchEncoder* encoder_;
   static Encryptor* enc_sym_;
-  static Encryptor* enc_pub_;
   static Decryptor* dec_;
   static Evaluator* eval_;
 };
@@ -62,12 +57,10 @@ class HeTest : public ::testing::Test {
 HeContext* HeTest::ctx_ = nullptr;
 Rng* HeTest::rng_ = nullptr;
 KeyGenerator* HeTest::keygen_ = nullptr;
-PublicKey* HeTest::pk_ = nullptr;
 RelinKey* HeTest::rk_ = nullptr;
 GaloisKeys* HeTest::gk_ = nullptr;
 BatchEncoder* HeTest::encoder_ = nullptr;
 Encryptor* HeTest::enc_sym_ = nullptr;
-Encryptor* HeTest::enc_pub_ = nullptr;
 Decryptor* HeTest::dec_ = nullptr;
 Evaluator* HeTest::eval_ = nullptr;
 
@@ -149,21 +142,6 @@ TEST_F(HeTest, SymmetricEncryptDecrypt) {
   const auto ct = enc_sym_->encrypt(encoder_->encode(v));
   const auto out = encoder_->decode(dec_->decrypt(ct));
   for (std::size_t i = 0; i < v.size(); ++i) EXPECT_EQ(out[i], v[i]);
-}
-
-TEST_F(HeTest, PublicKeyEncryptDecrypt) {
-  const auto v = random_slots(ctx_->t(), 100);
-  const auto ct = enc_pub_->encrypt(encoder_->encode(v));
-  const auto out = encoder_->decode(dec_->decrypt(ct));
-  for (std::size_t i = 0; i < v.size(); ++i) EXPECT_EQ(out[i], v[i]);
-}
-
-TEST_F(HeTest, FreshSymmetricNoiseSmallerThanPublic) {
-  const auto pt = encoder_->encode({1, 2, 3});
-  const double sym_budget = dec_->noise_budget(enc_sym_->encrypt(pt));
-  const double pub_budget = dec_->noise_budget(enc_pub_->encrypt(pt));
-  EXPECT_GT(sym_budget, pub_budget);
-  EXPECT_GT(pub_budget, 0.0);
 }
 
 TEST_F(HeTest, HomomorphicAdd) {
@@ -252,19 +230,6 @@ TEST_F(HeTest, RotateRowsMatchesSlotRotation) {
       ASSERT_EQ(out[i], v[src]) << "step " << step << " slot " << i;
       ASSERT_EQ(out[row + i], v[row + src]) << "step " << step << " row2 " << i;
     }
-  }
-}
-
-TEST_F(HeTest, RotateColumnsSwapsRows) {
-  const std::size_t row = encoder_->row_size();
-  std::vector<u64> v(2 * row);
-  for (std::size_t i = 0; i < v.size(); ++i) v[i] = i % 1000;
-  auto ct = enc_sym_->encrypt(encoder_->encode(v));
-  eval_->rotate_columns_inplace(ct, *gk_);
-  const auto out = encoder_->decode(dec_->decrypt(ct));
-  for (std::size_t i = 0; i < row; ++i) {
-    ASSERT_EQ(out[i], v[row + i]);
-    ASSERT_EQ(out[row + i], v[i]);
   }
 }
 

@@ -1,10 +1,10 @@
 // Key-switch data-path tests: hoisted rotation sets vs. the per-rotation
 // path (bit-exact), the kernel-fused key_switch vs. a naive per-coefficient
-// reference (bit-exact), the no-Shoup-table 128-bit fallback vs. the Shoup
-// path (bit-exact, exercising the lazy-digit canonicalization), BSGS packed
-// matmul vs. the sequential diagonal walk (exact decrypted output), gadget
-// decomposition structure, the rotate-then-multiply noise headroom the BSGS
-// schedule depends on, and arena reuse determinism across thread counts.
+// reference (bit-exact), rejection of keys without Shoup quotient tables,
+// BSGS packed matmul vs. the sequential diagonal walk (exact decrypted
+// output), gadget decomposition structure, the rotate-then-multiply noise
+// headroom the BSGS schedule depends on, and arena reuse determinism across
+// thread counts.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -121,36 +121,27 @@ TEST(KeySwitch, KernelFusedMatchesNaiveReferenceBitExact) {
   }
 }
 
-TEST(KeySwitch, NoShoupFallbackMatchesShoupPathBitExact) {
-  // Keys without precomputed quotient tables (e.g. externally supplied)
-  // take the 128-bit mul_acc_lazy fallback, which must canonicalize the
-  // lazily-staged [0, 4p) digits before accumulating — the result has to
-  // match the Shoup-lazy path bit for bit.
-  for (const HeProfile profile :
-       {HeProfile::kTest2048, HeProfile::kLight4096}) {
-    Fixture f(profile);
-    const std::size_t k = f.ctx.rns_size();
-    const std::size_t n = f.ctx.degree();
-    RnsPoly c(k, n, false);
-    for (std::size_t i = 0; i < k; ++i) {
-      f.rng.fill_uniform_mod(c.limb(i), n, f.ctx.q(i));
-    }
-    f.ctx.to_ntt(c);
-    const RelinKey rk = f.keygen.make_relin_key();
-    RnsPoly want0(k, n, true), want1(k, n, true);
-    f.eval.key_switch(c, rk.key, want0, want1);
-    KSwitchKey stripped;
-    stripped.decomp_bits = rk.key.decomp_bits;
-    stripped.b = rk.key.b;
-    stripped.a = rk.key.a;
-    ASSERT_FALSE(stripped.has_shoup());
-    RnsPoly got0(k, n, true), got1(k, n, true);
-    f.eval.key_switch(c, stripped, got0, got1);
-    for (std::size_t wi = 0; wi < want0.word_count(); ++wi) {
-      ASSERT_EQ(got0.data()[wi], want0.data()[wi]) << "acc0 word " << wi;
-      ASSERT_EQ(got1.data()[wi], want1.data()[wi]) << "acc1 word " << wi;
-    }
-  }
+TEST(KeySwitch, KeyWithoutShoupTablesIsRejected) {
+  // The Shoup-lazy accumulation is the only key-switch path, so a key whose
+  // quotient tables are missing (or do not cover every digit) must be
+  // refused, not read out of bounds.
+  Fixture f(HeProfile::kTest2048);
+  const std::size_t k = f.ctx.rns_size();
+  const std::size_t n = f.ctx.degree();
+  RnsPoly c(k, n, true);
+  const RelinKey rk = f.keygen.make_relin_key();
+  KSwitchKey stripped;
+  stripped.decomp_bits = rk.key.decomp_bits;
+  stripped.b = rk.key.b;
+  stripped.a = rk.key.a;
+  RnsPoly a0(k, n, true), a1(k, n, true);
+  EXPECT_THROW(f.eval.key_switch(c, stripped, a0, a1), std::invalid_argument);
+  stripped.b_shoup = rk.key.b_shoup;
+  stripped.a_shoup = rk.key.a_shoup;
+  stripped.a_shoup.pop_back();
+  EXPECT_THROW(f.eval.key_switch(c, stripped, a0, a1), std::invalid_argument);
+  stripped.a_shoup = rk.key.a_shoup;
+  f.eval.key_switch(c, stripped, a0, a1);  // the complete key is accepted
 }
 
 TEST(KeySwitch, HoistedSetMatchesSingleRotationsBitExact) {

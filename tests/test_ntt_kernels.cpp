@@ -189,8 +189,7 @@ TEST(Kernels, ScalarAvx2ElementwiseBitEquality) {
       EXPECT_EQ(out_vx[i], mul_mod(w, a[i], p));
     }
 
-    // Key-switch kernels: re-reduction of arbitrary 64-bit inputs, the
-    // lazy 128-bit accumulator, and its closing Barrett sweep.
+    // Key-switch digit re-reduction of arbitrary 64-bit inputs.
     std::vector<u64> wide(n);
     for (std::size_t i = 0; i < n; ++i) {
       wide[i] = (rng.uniform(u64{1} << 32) << 32) | rng.uniform(u64{1} << 32);
@@ -205,27 +204,6 @@ TEST(Kernels, ScalarAvx2ElementwiseBitEquality) {
     EXPECT_TRUE(fully_reduced(out_vx, p));
     for (std::size_t i = 0; i < 64; ++i) {
       EXPECT_EQ(out_vx[i], wide[i] % p) << "reduce_span vs naive i=" << i;
-    }
-
-    std::vector<u64> lo_sc(n, 0), hi_sc(n, 0), lo_vx(n, 0), hi_vx(n, 0);
-    for (int d = 0; d < 3; ++d) {  // 3 products: the k=3 key-switch shape
-      sc.mul_acc_lazy(lo_sc.data(), hi_sc.data(), a.data(), b.data(), n);
-      vx.mul_acc_lazy(lo_vx.data(), hi_vx.data(), a.data(), b.data(), n);
-    }
-    EXPECT_EQ(lo_sc, lo_vx) << "mul_acc_lazy lo p=" << p;
-    EXPECT_EQ(hi_sc, hi_vx) << "mul_acc_lazy hi p=" << p;
-
-    sc.reduce_acc_span(out_sc.data(), lo_sc.data(), hi_sc.data(), n, p,
-                       br.ratio_hi(), br.ratio_lo());
-    vx.reduce_acc_span(out_vx.data(), lo_vx.data(), hi_vx.data(), n, p,
-                       br.ratio_hi(), br.ratio_lo());
-    EXPECT_EQ(out_sc, out_vx) << "reduce_acc_span p=" << p;
-    EXPECT_TRUE(fully_reduced(out_vx, p));
-    for (std::size_t i = 0; i < 64; ++i) {
-      // 3 * a[i] * b[i] mod p via fully-reduced arithmetic.
-      const u64 prod = mul_mod(a[i], b[i], p);
-      const u64 expect = add_mod(add_mod(prod, prod, p), prod, p);
-      EXPECT_EQ(out_vx[i], expect) << "reduce_acc_span vs naive i=" << i;
     }
 
     // Shoup-lazy accumulation with elementwise precomputed quotients, and
@@ -373,18 +351,6 @@ TEST(Kernels, KernelTableBitEqualityAtDispatchBoundaries) {
       sc.reduce_span(out_sc.data(), wide.data(), n, p, br.ratio_hi());
       kern.reduce_span(out_k.data(), wide.data(), n, p, br.ratio_hi());
       EXPECT_EQ(out_sc, out_k) << tier << " reduce_span bits=" << bits;
-      std::vector<u64> lo_sc(n, 0), hi_sc(n, 0), lo_k(n, 0), hi_k(n, 0);
-      for (int d = 0; d < 3; ++d) {
-        sc.mul_acc_lazy(lo_sc.data(), hi_sc.data(), a.data(), b.data(), n);
-        kern.mul_acc_lazy(lo_k.data(), hi_k.data(), a.data(), b.data(), n);
-      }
-      EXPECT_EQ(lo_sc, lo_k) << tier << " mul_acc_lazy bits=" << bits;
-      EXPECT_EQ(hi_sc, hi_k) << tier << " mul_acc_lazy hi bits=" << bits;
-      sc.reduce_acc_span(out_sc.data(), lo_sc.data(), hi_sc.data(), n, p,
-                         br.ratio_hi(), br.ratio_lo());
-      kern.reduce_acc_span(out_k.data(), lo_k.data(), hi_k.data(), n, p,
-                           br.ratio_hi(), br.ratio_lo());
-      EXPECT_EQ(out_sc, out_k) << tier << " reduce_acc_span bits=" << bits;
       sc.add_reduce2p(out_sc.data(), a.data(), digits.data(), n, p);
       kern.add_reduce2p(out_k.data(), a.data(), digits.data(), n, p);
       EXPECT_EQ(out_sc, out_k) << tier << " add_reduce2p bits=" << bits;

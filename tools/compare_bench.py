@@ -43,6 +43,11 @@ def load(path):
             if not line.startswith("JSON "):
                 continue
             rec = json.loads(line[5:])
+            # framing_overhead carries ratios, not a throughput; it has its
+            # own gate (check_framing_overhead.py).  Any other record
+            # without ops_per_s still fails loudly below.
+            if rec.get("bench") == "framing_overhead":
+                continue
             key = (
                 rec["bench"],
                 rec.get("label", ""),
