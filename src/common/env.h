@@ -97,20 +97,4 @@ inline std::string env_string(const char* name, const std::string& fallback) {
   return raw;
 }
 
-// Signed integer knob.  Clamps to [lo, hi].
-inline long env_long(const char* name, long fallback, long lo, long hi) {
-  std::string raw;
-  if (!detail::env_raw(name, raw)) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(raw.c_str(), &end, 10);
-  if (end == raw.c_str() || end != raw.c_str() + raw.size()) {
-    detail::env_reject(name, raw, "not an integer");
-  }
-  if (errno == ERANGE) detail::env_reject(name, raw, "out of range");
-  if (v < lo) return lo;
-  if (v > hi) return hi;
-  return v;
-}
-
 }  // namespace primer

@@ -62,21 +62,6 @@ inline std::int64_t fp_saturate(std::int64_t v,
   return std::clamp(v, f.min_raw(), f.max_raw());
 }
 
-inline std::vector<std::int64_t> fp_encode_vec(
-    const std::vector<double>& xs, const FixedPointFormat& f = kDefaultFixedPoint) {
-  std::vector<std::int64_t> out(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) out[i] = fp_encode(xs[i], f);
-  return out;
-}
-
-inline std::vector<double> fp_decode_vec(
-    const std::vector<std::int64_t>& raw,
-    const FixedPointFormat& f = kDefaultFixedPoint) {
-  std::vector<double> out(raw.size());
-  for (std::size_t i = 0; i < raw.size(); ++i) out[i] = fp_decode(raw[i], f);
-  return out;
-}
-
 // Maps a signed raw value into the HE plaintext ring Z_t (centered lift).
 inline std::uint64_t fp_to_ring(std::int64_t raw, std::uint64_t t) {
   const auto m = static_cast<std::int64_t>(t);

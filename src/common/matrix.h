@@ -153,15 +153,6 @@ inline MatI random_fp_matrix(Rng& rng, std::size_t rows, std::size_t cols,
   return m;
 }
 
-// Uniform random matrix over the full masking domain [min_raw, max_raw].
-// Used for the Rc/Rs one-time-pad masks of the HGS family of protocols.
-inline MatI random_mask_matrix(Rng& rng, std::size_t rows, std::size_t cols,
-                               std::int64_t lo, std::int64_t hi) {
-  MatI m(rows, cols);
-  for (auto& v : m.data()) v = rng.uniform_int(lo, hi);
-  return m;
-}
-
 // Fixed-point matrix product with the paper's truncation discipline: the
 // accumulation happens at double precision width (2*frac_bits) and the
 // result is truncated back to the 15-bit format.

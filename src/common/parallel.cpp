@@ -210,8 +210,6 @@ void set_parallel_cancel_token(const CancelToken* token) {
   tl_cancel = token;
 }
 
-const CancelToken* parallel_cancel_token() { return tl_cancel; }
-
 std::size_t hardware_threads() {
   const unsigned hc = std::thread::hardware_concurrency();
   return hc == 0 ? 1 : static_cast<std::size_t>(hc);

@@ -38,9 +38,6 @@ class CancelToken;
 // sessions never see each other's cancellations.
 void set_parallel_cancel_token(const CancelToken* token);
 
-// The token installed on the calling thread (null if none).
-const CancelToken* parallel_cancel_token();
-
 // Number of threads the global executor is configured to use (>= 1).
 std::size_t num_threads();
 

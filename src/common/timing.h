@@ -68,18 +68,11 @@ struct PhaseCost {
   std::uint64_t he_mults = 0;       // ciphertext x plaintext
   std::uint64_t he_ct_mults = 0;    // ciphertext x ciphertext
   std::uint64_t he_rotations = 0;
-  std::uint64_t he_adds = 0;
   std::uint64_t gc_and_gates = 0;
-  // GC compute split: garbling is offline work, evaluation online.  Wall
-  // and aggregate-CPU are tracked separately so gates/s and effective
-  // parallelism are both recoverable.
+  // GC compute split: garbling is offline work, evaluation online.
   double gc_garble_seconds = 0.0;
-  double gc_garble_cpu_seconds = 0.0;
   double gc_eval_seconds = 0.0;
-  double gc_eval_cpu_seconds = 0.0;
-  std::uint64_t gc_table_bytes = 0;           // garbled-table payload shipped
-  std::uint64_t gc_streamed_table_bytes = 0;  // of which via kGcTableChunk
-  std::uint64_t gc_table_chunks = 0;          // streamed spans shipped
+  std::uint64_t gc_table_bytes = 0;  // garbled-table payload shipped
   // Smallest estimated noise budget (bits) observed at any decryption in
   // this step; +inf when the step decrypted nothing.
   double min_noise_margin_bits = std::numeric_limits<double>::infinity();
@@ -95,15 +88,10 @@ struct PhaseCost {
     he_mults += o.he_mults;
     he_ct_mults += o.he_ct_mults;
     he_rotations += o.he_rotations;
-    he_adds += o.he_adds;
     gc_and_gates += o.gc_and_gates;
     gc_garble_seconds += o.gc_garble_seconds;
-    gc_garble_cpu_seconds += o.gc_garble_cpu_seconds;
     gc_eval_seconds += o.gc_eval_seconds;
-    gc_eval_cpu_seconds += o.gc_eval_cpu_seconds;
     gc_table_bytes += o.gc_table_bytes;
-    gc_streamed_table_bytes += o.gc_streamed_table_bytes;
-    gc_table_chunks += o.gc_table_chunks;
     min_noise_margin_bits = std::min(min_noise_margin_bits, o.min_noise_margin_bits);
     return *this;
   }

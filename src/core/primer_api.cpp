@@ -57,24 +57,6 @@ InferenceResult PrivateInferenceSession::infer(
   return r;
 }
 
-InferenceResult PrivateInferenceSession::infer_resilient(
-    const std::vector<std::size_t>& tokens, SessionStore& store,
-    int max_restarts) {
-  InferenceResult r;
-  r.run = engine_.run_resilient(tokens, store, max_restarts);
-  r.logits = r.run.logits;
-  r.predicted = r.run.predicted;
-  for (const auto v : r.logits) r.logits_real.push_back(fp_decode(v));
-  return r;
-}
-
-InferenceResult PrivateInferenceSession::infer_durable(
-    const std::vector<std::size_t>& tokens, const std::string& store_dir,
-    int max_restarts) {
-  DurableSessionStore store(store_dir);
-  return infer_resilient(tokens, store, max_restarts);
-}
-
 SessionOutcome ServerHandle::infer_outcome(std::vector<std::size_t> tokens,
                                            std::size_t model) {
   InferenceRequest req;

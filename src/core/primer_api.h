@@ -52,24 +52,6 @@ class PrivateInferenceSession {
 
   InferenceResult infer(const std::vector<std::size_t>& tokens);
 
-  // Like infer(), but checkpointing into `store` and surviving retryable
-  // transport failures (injected kills, stalls, exhausted retries) by
-  // resuming from the last common checkpoint — up to `max_restarts` times.
-  // The output is bit-identical to an unfaulted infer().
-  InferenceResult infer_resilient(const std::vector<std::size_t>& tokens,
-                                  SessionStore& store, int max_restarts = 5);
-
-  // Like infer_resilient(), but checkpointing into a DurableSessionStore
-  // rooted at `store_dir` — so the session survives real process death, not
-  // just in-process faults.  A re-run over the same directory resumes from
-  // the highest valid on-disk checkpoint (cached key material replayed at
-  // zero wire cost); torn or corrupt blobs are quarantined by the recovery
-  // scan, and a full disk degrades to memory-only operation (telemetry in
-  // run.store_degradations) instead of failing the inference.
-  InferenceResult infer_durable(const std::vector<std::size_t>& tokens,
-                                const std::string& store_dir,
-                                int max_restarts = 5);
-
   // The plaintext fixed-point reference the protocol must match bit-exactly
   // (variants kBase/kF/kFP) or track closely (kFPC).
   std::vector<std::int64_t> reference_logits(

@@ -24,41 +24,6 @@ Block gf_double(Block x) {
   return r;
 }
 
-// W independent MMO hashes interleaved through one AESENC round sequence.
-// Exactly hash() per lane: s = sigma(x) ^ tweak, out = AES(s) ^ s.
-template <int W>
-inline void hash_w(const __m128i* rk, const Block* x,
-                   const std::uint64_t* tweak, Block* out) {
-  __m128i s[W], c[W];
-  for (int k = 0; k < W; ++k) {
-    s[k] = _mm_xor_si128(
-        gf_double_m128(x[k].to_m128()),
-        _mm_set_epi64x(0, static_cast<long long>(tweak[k])));
-    c[k] = _mm_xor_si128(s[k], rk[0]);
-  }
-  for (int r = 1; r < 10; ++r) {
-    for (int k = 0; k < W; ++k) c[k] = _mm_aesenc_si128(c[k], rk[r]);
-  }
-  for (int k = 0; k < W; ++k) {
-    c[k] = _mm_xor_si128(_mm_aesenclast_si128(c[k], rk[10]), s[k]);
-    out[k] = Block::from_m128(c[k]);
-  }
-}
-
-template <int W>
-inline void encrypt_w(const __m128i* rk, const Block* in, Block* out) {
-  __m128i c[W];
-  for (int k = 0; k < W; ++k) {
-    c[k] = _mm_xor_si128(in[k].to_m128(), rk[0]);
-  }
-  for (int r = 1; r < 10; ++r) {
-    for (int k = 0; k < W; ++k) c[k] = _mm_aesenc_si128(c[k], rk[r]);
-  }
-  for (int k = 0; k < W; ++k) {
-    out[k] = Block::from_m128(_mm_aesenclast_si128(c[k], rk[10]));
-  }
-}
-
 }  // namespace
 
 FixedKeyAes::FixedKeyAes()
@@ -86,36 +51,11 @@ Block FixedKeyAes::encrypt(Block x) const {
   return Block::from_m128(v);
 }
 
-void FixedKeyAes::encrypt_n(const Block* in, Block* out, std::size_t n) const {
-  std::size_t i = 0;
-  for (; i + kBatch <= n; i += kBatch) {
-    encrypt_w<kBatch>(round_keys_, in + i, out + i);
-  }
-  if (i + 4 <= n) {
-    encrypt_w<4>(round_keys_, in + i, out + i);
-    i += 4;
-  }
-  for (; i < n; ++i) out[i] = encrypt(in[i]);
-}
-
 Block FixedKeyAes::hash(Block x, std::uint64_t tweak) const {
   Block s = gf_double(x);
   s.lo ^= tweak;
   const Block c = encrypt(s);
   return c ^ s;
-}
-
-void FixedKeyAes::hash_n(const Block* x, const std::uint64_t* tweak,
-                         Block* out, std::size_t n) const {
-  std::size_t i = 0;
-  for (; i + kBatch <= n; i += kBatch) {
-    hash_w<kBatch>(round_keys_, x + i, tweak + i, out + i);
-  }
-  if (i + 4 <= n) {
-    hash_w<4>(round_keys_, x + i, tweak + i, out + i);
-    i += 4;
-  }
-  for (; i < n; ++i) out[i] = hash(x[i], tweak[i]);
 }
 
 }  // namespace primer

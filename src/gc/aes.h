@@ -41,34 +41,20 @@ struct Block {
 // not the AES key (Bellare–Hoang–Keelveedhi–Rogaway).
 class FixedKeyAes {
  public:
-  // Blocks interleaved through one AESENC round sequence by the batched
-  // entry points.  AESENC is pipelined hardware (~4-cycle latency, 1/cycle
-  // throughput), so eight independent blocks cost barely more than one.
-  static constexpr std::size_t kBatch = 8;
-
   FixedKeyAes();
   explicit FixedKeyAes(Block key);
 
   Block encrypt(Block x) const;
-
-  // Batched encryption: out[i] = encrypt(in[i]), bit-identical to the
-  // single-block path.  in and out may alias element-for-element.
-  void encrypt_n(const Block* in, Block* out, std::size_t n) const;
 
   // The MMO-style garbling hash: H(x, tweak) = AES(sigma(x) ^ tweak) ^
   // sigma(x) ^ tweak with sigma(x) = x doubled in GF(2^128).  Collision-
   // resistant under the fixed-key random-permutation heuristic.
   Block hash(Block x, std::uint64_t tweak) const;
 
-  // Batched hash: out[i] = hash(x[i], tweak[i]), bit-identical to the
-  // single-block path.  The garble/eval hot loops gather a dependency
-  // level's hash operands into contiguous spans and come through here.
-  void hash_n(const Block* x, const std::uint64_t* tweak, Block* out,
-              std::size_t n) const;
-
-  // Expanded key schedule (11 round keys), for callers that fuse the AES
-  // rounds into their own register-resident pipelines (the garble/eval
-  // AND-gate kernels) instead of round-tripping operands through memory.
+  // Expanded key schedule (11 round keys).  The garble/eval AND-gate
+  // kernels fuse the AES rounds of many hashes into their own
+  // register-resident pipelines from these keys; hash() is the scalar
+  // reference they must match bit for bit.
   const __m128i* round_keys() const { return round_keys_; }
 
  private:

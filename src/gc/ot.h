@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "gc/garble.h"
@@ -30,15 +31,12 @@ class SimulatedOt {
   explicit SimulatedOt(FramedChannel& ch) : channel_(ch) {}
 
   // One-time IKNP setup traffic (call once per session).  Messages are
-  // immediately drained by the in-process peer; only the accounting remains.
+  // immediately drained by the in-process peer; only the accounting and
+  // the size check remain.
   void setup() {
     if (setup_done_) return;
-    channel_.send(Party::kClient, MessageKind::kOtSetup,
-                  std::vector<std::uint8_t>(128 * 64));
-    channel_.recv_expect(Party::kServer, MessageKind::kOtSetup);
-    channel_.send(Party::kServer, MessageKind::kOtSetup,
-                  std::vector<std::uint8_t>(128 * 32));
-    channel_.recv_expect(Party::kClient, MessageKind::kOtSetup);
+    exchange(Party::kClient, MessageKind::kOtSetup, 128 * 64);
+    exchange(Party::kServer, MessageKind::kOtSetup, 128 * 32);
     setup_done_ = true;
   }
 
@@ -50,15 +48,9 @@ class SimulatedOt {
     setup();
     const std::size_t m = choices.size();
     // Receiver's correction matrix columns.
-    channel_.send(Party::kClient, MessageKind::kOtReceiverColumns,
-                  std::vector<std::uint8_t>(m * 16));
-    channel_.recv_expect(Party::kServer, MessageKind::kOtReceiverColumns);
+    exchange(Party::kClient, MessageKind::kOtReceiverColumns, m * 16);
     // Sender's two masked labels per OT.
-    channel_.send(Party::kServer, MessageKind::kOtSenderMasked,
-                  std::vector<std::uint8_t>(m * 32));
-    channel_.recv_expect(Party::kClient, MessageKind::kOtSenderMasked);
-    ++batches_;
-    ots_ += m;
+    exchange(Party::kServer, MessageKind::kOtSenderMasked, m * 32);
     std::vector<Label> out(m);
     for (std::size_t i = 0; i < m; ++i) {
       out[i] = choices[i] ? labels1[i] : labels0[i];
@@ -66,14 +58,22 @@ class SimulatedOt {
     return out;
   }
 
-  std::uint64_t ot_count() const { return ots_; }
-  std::uint64_t batch_count() const { return batches_; }
-
  private:
+  // Sends `bytes` zero bytes of `kind` from `from` and receives them at the
+  // peer, which requires exactly the size an honest sender ships.
+  void exchange(Party from, MessageKind kind, std::size_t bytes) {
+    channel_.send(from, kind, std::vector<std::uint8_t>(bytes));
+    const std::size_t got = channel_.recv_expect(other(from), kind).size();
+    if (got != bytes) {
+      throw ProtocolError(ProtocolErrorKind::kMalformed,
+                          std::string(message_kind_name(kind)) +
+                              ": payload of " + std::to_string(got) +
+                              " bytes, expected " + std::to_string(bytes));
+    }
+  }
+
   FramedChannel& channel_;
   bool setup_done_ = false;
-  std::uint64_t ots_ = 0;
-  std::uint64_t batches_ = 0;
 };
 
 }  // namespace primer

@@ -1,6 +1,5 @@
 #include "gc/protocol.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -17,10 +16,12 @@ std::vector<std::uint8_t> pack_bits(const std::vector<bool>& bits) {
 
 std::vector<bool> unpack_bits(const std::vector<std::uint8_t>& bytes,
                               std::size_t count) {
-  if (bytes.size() < (count + 7) / 8) {
-    throw std::out_of_range("unpack_bits: " + std::to_string(bytes.size()) +
-                            " bytes cannot hold " + std::to_string(count) +
-                            " bits");
+  if (bytes.size() != (count + 7) / 8) {
+    throw ProtocolError(ProtocolErrorKind::kMalformed,
+                        "unpack_bits: payload of " +
+                            std::to_string(bytes.size()) +
+                            " bytes does not hold exactly " +
+                            std::to_string(count) + " bits");
   }
   std::vector<bool> out(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -45,8 +46,7 @@ std::uint64_t bits_to_value(const std::vector<bool>& bits) {
 
 namespace {
 
-template <class Vec>
-std::vector<std::uint8_t> labels_to_bytes(const Vec& labels) {
+std::vector<std::uint8_t> labels_to_bytes(const std::vector<Label>& labels) {
   std::vector<std::uint8_t> out(labels.size() * sizeof(Label));
   std::memcpy(out.data(), labels.data(), out.size());
   return out;
@@ -55,10 +55,8 @@ std::vector<std::uint8_t> labels_to_bytes(const Vec& labels) {
 // Parses a wire payload into exactly `expected` labels; the frame layer has
 // already verified integrity, so a size mismatch here means the sender
 // framed the wrong thing — surface it as a malformed-payload error.
-// Vec is std::vector<Label> or the table's LabelVec.
-template <class Vec = std::vector<Label>>
-Vec labels_from_bytes(const std::vector<std::uint8_t>& bytes,
-                      std::size_t expected, const char* what) {
+std::vector<Label> labels_from_bytes(const std::vector<std::uint8_t>& bytes,
+                                     std::size_t expected, const char* what) {
   if (bytes.size() != expected * sizeof(Label)) {
     throw ProtocolError(ProtocolErrorKind::kMalformed,
                         std::string(what) + ": payload of " +
@@ -66,8 +64,8 @@ Vec labels_from_bytes(const std::vector<std::uint8_t>& bytes,
                             " bytes does not hold the expected " +
                             std::to_string(expected) + " labels");
   }
-  Vec out(expected);
-  std::memcpy(out.data(), bytes.data(), out.size() * sizeof(Label));
+  std::vector<Label> out(expected);
+  std::memcpy(out.data(), bytes.data(), bytes.size());
   return out;
 }
 
@@ -97,17 +95,6 @@ std::vector<std::uint8_t> encode_table_chunk(std::uint64_t row_begin,
 
 }  // namespace
 
-TableTransfer GcSession::default_table_transfer() {
-  const char* v = std::getenv("PRIMER_GC_STREAM");
-  if (v != nullptr) {
-    const std::string s(v);
-    if (s == "0" || s == "off" || s == "monolithic") {
-      return TableTransfer::kMonolithic;
-    }
-  }
-  return TableTransfer::kStreamed;
-}
-
 void GcSession::offline(std::shared_ptr<const Circuit> circuit,
                         RevealTo reveal) {
   circuit_ = std::move(circuit);
@@ -117,83 +104,67 @@ void GcSession::offline(std::shared_ptr<const Circuit> circuit,
   const CircuitLayers& lay = circuit_->layers();
   const std::size_t total_rows = 2 * lay.and_count;
 
-  CpuWallTimer timer;
+  Stopwatch timer;
   Garbler garbler(rng_);
-  if (transfer_ == TableTransfer::kStreamed) {
-    // Ship finalized table prefixes while later levels are still garbling.
-    // Watermark spans are coalesced up to stream_chunk_rows_; the final
-    // sink call (row_end == total_rows) always flushes.
-    std::size_t sent = 0;
-    gc_ = garbler.garble(
-        *circuit_, [&](const Label* rows, std::size_t, std::size_t row_end) {
-          if (row_end != total_rows && row_end - sent < stream_chunk_rows_) {
-            return;  // defer: not enough final rows for a chunk yet
-          }
-          const auto payload = encode_table_chunk(
-              sent, static_cast<std::uint32_t>(row_end - sent),
-              static_cast<std::uint32_t>(total_rows), rows + sent);
-          stats_.streamed_table_bytes += payload.size();
-          ++stats_.table_chunks;
-          channel_.send(Party::kServer, MessageKind::kGcTableChunk, payload);
-          sent = row_end;
-        });
-  } else {
-    gc_ = garbler.garble(*circuit_);
-  }
-  stats_.garble_seconds += timer.wall_seconds();
-  stats_.garble_cpu_seconds += timer.cpu_seconds();
+  // Ship finalized table prefixes while later levels are still garbling.
+  // Watermark spans are coalesced up to stream_chunk_rows_; the final sink
+  // call (row_end == total_rows) always flushes.
+  std::size_t sent = 0;
+  gc_ = garbler.garble(
+      *circuit_, [&](const Label* rows, std::size_t, std::size_t row_end) {
+        if (row_end != total_rows && row_end - sent < stream_chunk_rows_) {
+          return;  // defer: not enough final rows for a chunk yet
+        }
+        channel_.send(Party::kServer, MessageKind::kGcTableChunk,
+                      encode_table_chunk(
+                          sent, static_cast<std::uint32_t>(row_end - sent),
+                          static_cast<std::uint32_t>(total_rows), rows + sent));
+        sent = row_end;
+      });
+  stats_.garble_seconds += timer.seconds();
   stats_.and_gates += lay.and_count;
   stats_.table_bytes += gc_.table.byte_size();
 
-  // Evaluator side: parse the tables off the wire.
-  if (transfer_ == TableTransfer::kStreamed) {
-    client_table_.rows.assign(total_rows, Label{});
-    std::size_t received = 0;
-    while (received < total_rows) {
-      const auto payload =
-          channel_.recv_expect(Party::kClient, MessageKind::kGcTableChunk);
-      if (payload.size() < kChunkHeaderBytes) {
-        chunk_malformed("payload of " + std::to_string(payload.size()) +
-                        " bytes is shorter than the chunk header");
-      }
-      std::uint64_t row_begin = 0;
-      std::uint32_t row_count = 0;
-      std::uint32_t chunk_total = 0;
-      std::memcpy(&row_begin, payload.data(), 8);
-      std::memcpy(&row_count, payload.data() + 8, 4);
-      std::memcpy(&chunk_total, payload.data() + 12, 4);
-      if (chunk_total != total_rows) {
-        chunk_malformed("chunk claims a " + std::to_string(chunk_total) +
-                        "-row table but the circuit needs " +
-                        std::to_string(total_rows));
-      }
-      if (row_begin != received) {
-        chunk_malformed("chunk starts at row " + std::to_string(row_begin) +
-                        " but " + std::to_string(received) +
-                        " rows have been received");
-      }
-      if (row_count == 0 || row_begin + row_count > total_rows) {
-        chunk_malformed("chunk of " + std::to_string(row_count) +
-                        " rows at row " + std::to_string(row_begin) +
-                        " overruns the " + std::to_string(total_rows) +
-                        "-row table");
-      }
-      if (payload.size() != kChunkHeaderBytes + row_count * sizeof(Label)) {
-        chunk_malformed("payload of " + std::to_string(payload.size()) +
-                        " bytes does not hold " + std::to_string(row_count) +
-                        " rows");
-      }
-      std::memcpy(client_table_.rows.data() + row_begin,
-                  payload.data() + kChunkHeaderBytes,
-                  row_count * sizeof(Label));
-      received += row_count;
+  // Evaluator side: reassemble the tables off the wire.
+  client_table_.rows.assign(total_rows, Label{});
+  std::size_t received = 0;
+  while (received < total_rows) {
+    const auto payload =
+        channel_.recv_expect(Party::kClient, MessageKind::kGcTableChunk);
+    if (payload.size() < kChunkHeaderBytes) {
+      chunk_malformed("payload of " + std::to_string(payload.size()) +
+                      " bytes is shorter than the chunk header");
     }
-  } else {
-    channel_.send(Party::kServer, MessageKind::kGcTables,
-                  labels_to_bytes(gc_.table.rows));
-    client_table_.rows = labels_from_bytes<LabelVec>(
-        channel_.recv_expect(Party::kClient, MessageKind::kGcTables),
-        gc_.table.rows.size(), "gc tables");
+    std::uint64_t row_begin = 0;
+    std::uint32_t row_count = 0;
+    std::uint32_t chunk_total = 0;
+    std::memcpy(&row_begin, payload.data(), 8);
+    std::memcpy(&row_count, payload.data() + 8, 4);
+    std::memcpy(&chunk_total, payload.data() + 12, 4);
+    if (chunk_total != total_rows) {
+      chunk_malformed("chunk claims a " + std::to_string(chunk_total) +
+                      "-row table but the circuit needs " +
+                      std::to_string(total_rows));
+    }
+    if (row_begin != received) {
+      chunk_malformed("chunk starts at row " + std::to_string(row_begin) +
+                      " but " + std::to_string(received) +
+                      " rows have been received");
+    }
+    if (row_count == 0 || row_begin + row_count > total_rows) {
+      chunk_malformed("chunk of " + std::to_string(row_count) +
+                      " rows at row " + std::to_string(row_begin) +
+                      " overruns the " + std::to_string(total_rows) +
+                      "-row table");
+    }
+    if (payload.size() != kChunkHeaderBytes + row_count * sizeof(Label)) {
+      chunk_malformed("payload of " + std::to_string(payload.size()) +
+                      " bytes does not hold " + std::to_string(row_count) +
+                      " rows");
+    }
+    std::memcpy(client_table_.rows.data() + row_begin,
+                payload.data() + kChunkHeaderBytes, row_count * sizeof(Label));
+    received += row_count;
   }
   if (reveal == RevealTo::kEvaluator || reveal == RevealTo::kBoth) {
     // Decode bits: lsb of each output wire's false label.
@@ -203,14 +174,9 @@ void GcSession::offline(std::shared_ptr<const Circuit> circuit,
     }
     channel_.send(Party::kServer, MessageKind::kGcDecodeBits,
                   pack_bits(decode));
-    try {
-      client_decode_ = unpack_bits(
-          channel_.recv_expect(Party::kClient, MessageKind::kGcDecodeBits),
-          gc_.output_labels0.size());
-    } catch (const std::out_of_range& e) {
-      throw ProtocolError(ProtocolErrorKind::kMalformed,
-                          std::string("gc decode bits: ") + e.what());
-    }
+    client_decode_ = unpack_bits(
+        channel_.recv_expect(Party::kClient, MessageKind::kGcDecodeBits),
+        gc_.output_labels0.size());
   }
   ot_.setup();  // base-OT traffic is part of the offline phase
   offline_done_ = true;
@@ -252,10 +218,9 @@ std::vector<bool> GcSession::online(const std::vector<bool>& garbler_bits,
   for (std::size_t i = 0; i < ne; ++i) active[ng + i] = chosen[i];
 
   // Evaluate (client side, using the table as received over the wire).
-  CpuWallTimer timer;
+  Stopwatch timer;
   const auto out_labels = GcEvaluator::eval(*circuit_, client_table_, active);
-  stats_.eval_seconds += timer.wall_seconds();
-  stats_.eval_cpu_seconds += timer.cpu_seconds();
+  stats_.eval_seconds += timer.seconds();
 
   // Decode.
   std::vector<bool> out(out_labels.size());
@@ -265,20 +230,25 @@ std::vector<bool> GcSession::online(const std::vector<bool>& garbler_bits,
       out[i] = out_labels[i].lsb() != client_decode_[i];
     }
     if (reveal_ == RevealTo::kBoth) {
+      // Both parties return `out`; the garbler's copy is only size-checked.
       channel_.send(Party::kClient, MessageKind::kGcOutputBits,
                     pack_bits(out));
-      channel_.recv_expect(Party::kServer, MessageKind::kGcOutputBits);
+      unpack_bits(
+          channel_.recv_expect(Party::kServer, MessageKind::kGcOutputBits),
+          out.size());
     }
   } else {
     // Reveal to garbler only: evaluator sends the active lsbs; the garbler
-    // XORs with its stored permute bits.
+    // XORs what it received with its stored permute bits.
     std::vector<bool> lsbs(out.size());
     for (std::size_t i = 0; i < out.size(); ++i) lsbs[i] = out_labels[i].lsb();
     channel_.send(Party::kClient, MessageKind::kGcOutputBits,
                   pack_bits(lsbs));
-    channel_.recv_expect(Party::kServer, MessageKind::kGcOutputBits);
+    const std::vector<bool> received = unpack_bits(
+        channel_.recv_expect(Party::kServer, MessageKind::kGcOutputBits),
+        out.size());
     for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = lsbs[i] != gc_.output_labels0[i].lsb();
+      out[i] = received[i] != gc_.output_labels0[i].lsb();
     }
   }
   return out;

@@ -22,25 +22,11 @@ namespace primer {
 
 enum class RevealTo { kGarbler, kEvaluator, kBoth };
 
-// How the garbled tables travel in the offline phase.
-//   kMonolithic — one kGcTables frame once garbling finishes (seed behavior).
-//   kStreamed   — kGcTableChunk frames ship each dependency level's finalized
-//                 table prefix while later levels are still being garbled.
-//                 Both parties share one thread, so the evaluator reads the
-//                 first chunk only after the last is sent: no overlap yet.
-// Default comes from PRIMER_GC_STREAM (unset/1/on -> streamed; 0/off ->
-// monolithic).  Both modes deliver bit-identical tables.
-enum class TableTransfer { kMonolithic, kStreamed };
-
 struct GcStats {
   std::size_t and_gates = 0;
-  std::size_t table_bytes = 0;           // garbled-table payload (either mode)
-  std::size_t streamed_table_bytes = 0;  // of which shipped via kGcTableChunk
-  std::size_t table_chunks = 0;          // streamed spans shipped
-  double garble_seconds = 0;       // offline compute, wall
-  double garble_cpu_seconds = 0;   // offline compute, aggregate CPU
-  double eval_seconds = 0;         // online compute, wall
-  double eval_cpu_seconds = 0;     // online compute, aggregate CPU
+  std::size_t table_bytes = 0;  // garbled-table payload
+  double garble_seconds = 0;    // offline compute, wall
+  double eval_seconds = 0;      // online compute, wall
 };
 
 class GcSession {
@@ -52,9 +38,12 @@ class GcSession {
       : channel_(channel), rng_(garbler_rng), ot_(channel) {}
 
   // Offline phase: garble and ship the tables (and, if the evaluator may
-  // learn outputs, the decode bits).  The session keeps the shared circuit
-  // for online(); a circuit other sessions garble concurrently must come
-  // pre-layered (share_layered()).
+  // learn outputs, the decode bits).  Tables travel as kGcTableChunk frames,
+  // each carrying a finalized table prefix while later dependency levels
+  // are still being garbled; both parties share one thread, so the
+  // evaluator reads the first chunk only after the last is sent.  The
+  // session keeps the shared circuit for online(); a circuit other sessions
+  // garble concurrently must come pre-layered (share_layered()).
   void offline(std::shared_ptr<const Circuit> circuit, RevealTo reveal);
   // Same, over a private copy of a one-off circuit.
   void offline(const Circuit& circuit, RevealTo reveal) {
@@ -69,20 +58,14 @@ class GcSession {
 
   const GcStats& stats() const { return stats_; }
 
-  // Table-transfer mode and the minimum rows per streamed chunk (watermark
-  // spans are coalesced up to this size so carry-chain circuits, whose
-  // levels finalize a few rows at a time, do not flood the wire with tiny
-  // frames).  Both must be set before offline(); tests use them to pin a
-  // mode and to force many small chunks through the fault-injected wire.
-  void set_table_transfer(TableTransfer t) { transfer_ = t; }
+  // Minimum rows per table chunk: watermark spans are coalesced up to this
+  // size so carry-chain circuits, whose levels finalize a few rows at a
+  // time, do not flood the wire with tiny frames.  Must be set before
+  // offline(); tests use it to force many small chunks through the
+  // fault-injected wire.
   void set_stream_chunk_rows(std::size_t rows) {
     stream_chunk_rows_ = rows > 0 ? rows : 1;
   }
-  TableTransfer table_transfer() const { return transfer_; }
-
-  // Resolves PRIMER_GC_STREAM (unset/1/on -> kStreamed, 0/off ->
-  // kMonolithic).
-  static TableTransfer default_table_transfer();
 
   // 4096 rows = 64 KiB per chunk: large enough to amortize framing, small
   // enough that transfer overlaps garbling on every fixed circuit.
@@ -92,7 +75,6 @@ class GcSession {
   FramedChannel& channel_;
   Rng& rng_;
   SimulatedOt ot_;
-  TableTransfer transfer_ = default_table_transfer();
   std::size_t stream_chunk_rows_ = kDefaultStreamChunkRows;
   std::shared_ptr<const Circuit> circuit_;
   GarbledCircuit gc_;

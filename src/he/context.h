@@ -111,12 +111,6 @@ class HeContext {
   // digits * n * digit_magnitude * t * eta.
   double kswitch_noise_log2(std::uint32_t decomp_bits) const;
 
-  // --- CRT composition constants (public for tests) -----------------------
-  // q_hat_i = q / q_i as U256; inv_q_hat_i = (q/q_i)^{-1} mod q_i.
-  const std::vector<U256>& q_hat() const { return q_hat_; }
-  const std::vector<u64>& inv_q_hat() const { return inv_q_hat_; }
-  const U256& q_total() const { return q_total_; }
-
  private:
   HeParams params_;
   std::vector<std::unique_ptr<Ntt>> ntts_;

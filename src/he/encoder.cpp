@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/fixed_point.h"
-
 namespace primer {
 
 namespace {
@@ -69,25 +67,6 @@ std::vector<u64> BatchEncoder::decode(const Plaintext& pt) const {
   ctx_.plain_ntt().forward(buf);
   std::vector<u64> out(slots_);
   for (std::size_t i = 0; i < slots_; ++i) out[i] = buf[index_map_[i]];
-  return out;
-}
-
-Plaintext BatchEncoder::encode_signed(const std::vector<i64>& values) const {
-  const u64 t = ctx_.t();
-  std::vector<u64> ring(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    ring[i] = fp_to_ring(values[i], t);
-  }
-  return encode(ring);
-}
-
-std::vector<i64> BatchEncoder::decode_signed(const Plaintext& pt) const {
-  const u64 t = ctx_.t();
-  const auto ring = decode(pt);
-  std::vector<i64> out(ring.size());
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    out[i] = fp_from_ring(ring[i], t);
-  }
   return out;
 }
 

@@ -27,10 +27,6 @@ class BatchEncoder {
   Plaintext encode(const std::vector<u64>& values) const;
   std::vector<u64> decode(const Plaintext& pt) const;
 
-  // Signed convenience wrappers (centered lift mod t).
-  Plaintext encode_signed(const std::vector<i64>& values) const;
-  std::vector<i64> decode_signed(const Plaintext& pt) const;
-
  private:
   const HeContext& ctx_;
   std::size_t slots_;

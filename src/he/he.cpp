@@ -122,7 +122,6 @@ Encryptor::Encryptor(const HeContext& ctx, const SecretKey& sk, Rng& rng)
     : ctx_(ctx), sk_(sk), rng_(rng) {}
 
 Ciphertext Encryptor::encrypt(const Plaintext& pt) const {
-  ++counters_.encryptions;
   RnsPoly m = ctx_.lift_plaintext(pt);
   ctx_.to_ntt(m);
 
@@ -509,7 +508,6 @@ void Evaluator::key_switch(const RnsPoly& c, const KSwitchKey& key,
 }
 
 void Evaluator::relinearize_inplace(Ciphertext& a, const RelinKey& rk) const {
-  ++counters_.relins;
   if (a.size() != 3) {
     throw std::invalid_argument("relinearize: expected 3-part ciphertext");
   }
@@ -620,7 +618,6 @@ std::vector<Ciphertext> Evaluator::rotate_rows_many(
   std::uint64_t rotated = 0;
   for (const u64 e : elts) rotated += e != 1 ? 1 : 0;
   counters_.rotations += rotated;
-  counters_.hoisted_rotations += rotated;
   return out;
 }
 

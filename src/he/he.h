@@ -55,14 +55,10 @@ class OpCount {
 };
 
 struct HeOpCounters {
-  OpCount encryptions;
-  OpCount decryptions;
   OpCount adds;
   OpCount plain_mults;
   OpCount ct_mults;
-  OpCount rotations;          // all Galois key-switches (hoisted included)
-  OpCount hoisted_rotations;  // subset served from a shared decomposition
-  OpCount relins;
+  OpCount rotations;  // all Galois key-switches (hoisted included)
 
   void clear() { *this = HeOpCounters{}; }
 };
@@ -109,13 +105,10 @@ class Encryptor {
 
   Ciphertext encrypt(const Plaintext& pt) const;
 
-  HeOpCounters& counters() const { return counters_; }
-
  private:
   const HeContext& ctx_;
   const SecretKey& sk_;
   Rng& rng_;
-  mutable HeOpCounters counters_;
 };
 
 // Thrown instead of returning silently-garbled plaintext when a ciphertext's

@@ -47,7 +47,6 @@ struct KSwitchKey {
   // Sub-digit width this key was generated for (0 = one digit per limb).
   std::uint32_t decomp_bits = 0;
 
-  bool empty() const { return b.empty(); }
   std::size_t digits() const { return b.size(); }
 };
 

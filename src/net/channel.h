@@ -1,10 +1,10 @@
 // Simulated two-party network channel.
 //
 // Both protocol parties run in-process; every message they exchange passes
-// through this channel, which records exact byte counts, message counts and
-// communication rounds, and converts them into simulated network seconds
-// using the paper's testbed model (§IV): average one-way delay 2.3 ms,
-// bandwidth 100 MB/s.  Compute time is measured separately with wall-clock
+// through this channel, which records exact byte counts and communication
+// flights, and converts them into simulated network seconds using the
+// paper's testbed model (§IV): average one-way delay 2.3 ms, bandwidth
+// 100 MB/s.  Compute time is measured separately with wall-clock
 // stopwatches; total latency = compute + simulated network.
 #pragma once
 
@@ -74,16 +74,9 @@ class Channel {
     return !queue_[static_cast<int>(to)].empty();
   }
 
-  std::uint64_t bytes_sent(Party p) const {
-    return bytes_sent_[static_cast<int>(p)];
-  }
-  std::uint64_t total_bytes() const { return bytes_sent_[0] + bytes_sent_[1]; }
-  std::uint64_t messages(Party p) const {
-    return messages_[static_cast<int>(p)];
-  }
+  std::uint64_t total_bytes() const { return total_bytes_; }
   // Number of direction changes — the paper's "interactions".
   std::uint64_t flights() const { return flights_; }
-  std::uint64_t round_trips() const { return (flights_ + 1) / 2; }
 
   double simulated_seconds() const {
     return simulated_seconds_ + static_cast<double>(flights_) * model_.one_way_delay_s;
@@ -105,20 +98,11 @@ class Channel {
                     simulated_seconds() - s.seconds};
   }
 
-  void reset_stats() {
-    bytes_sent_[0] = bytes_sent_[1] = 0;
-    messages_[0] = messages_[1] = 0;
-    flights_ = 0;
-    last_direction_ = -1;
-    simulated_seconds_ = 0;
-  }
-
   const NetworkModel& model() const { return model_; }
 
  private:
   void charge(Party from, std::size_t bytes) {
-    bytes_sent_[static_cast<int>(from)] += bytes;
-    ++messages_[static_cast<int>(from)];
+    total_bytes_ += bytes;
     // A new "flight" starts whenever the transmission direction changes;
     // each flight pays the propagation delay once, all bytes pay bandwidth.
     if (last_direction_ != static_cast<int>(from)) {
@@ -131,8 +115,7 @@ class Channel {
 
   NetworkModel model_;
   std::deque<std::vector<std::uint8_t>> queue_[2];
-  std::uint64_t bytes_sent_[2] = {0, 0};
-  std::uint64_t messages_[2] = {0, 0};
+  std::uint64_t total_bytes_ = 0;
   std::uint64_t flights_ = 0;
   int last_direction_ = -1;
   double simulated_seconds_ = 0;

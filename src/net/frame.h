@@ -33,11 +33,11 @@
 
 namespace primer {
 
-// Values are fixed wire and checkpoint-inventory indices; 0 is unassigned.
+// Values are fixed wire and checkpoint-inventory indices; 0 and 3 are
+// unassigned.
 enum class MessageKind : std::uint8_t {
   kCiphertexts = 1,       // length-framed ciphertext batch
   kRingMatrix = 2,        // packed Z_t share matrix
-  kGcTables = 3,          // garbled tables (offline)
   kGcDecodeBits = 4,      // output decode bits (offline, evaluator-revealed)
   kGcGarblerLabels = 5,   // garbler's active input labels
   kGcOutputBits = 6,      // revealed output bits / lsbs
@@ -57,7 +57,6 @@ inline const char* message_kind_name(MessageKind k) {
   switch (k) {
     case MessageKind::kCiphertexts: return "ciphertexts";
     case MessageKind::kRingMatrix: return "ring_matrix";
-    case MessageKind::kGcTables: return "gc_tables";
     case MessageKind::kGcDecodeBits: return "gc_decode_bits";
     case MessageKind::kGcGarblerLabels: return "gc_garbler_labels";
     case MessageKind::kGcOutputBits: return "gc_output_bits";

@@ -91,7 +91,6 @@ void FramedChannel::send(Party from, MessageKind kind,
   std::memcpy(&crc, frame.data() + FrameHeader::kCrcOffset, 4);
   if (journal_on_ && seq >= journal_base_[fi]) journal_[fi].push_back(crc);
   ++stats_.frames_sent;
-  stats_.framing_bytes += FrameHeader::kWireSize;
 
   // Checkpoint-covered prefix: the peer already holds this frame from a
   // previous attempt.  Verify determinism against the journaled CRC and
@@ -172,7 +171,6 @@ std::vector<std::uint8_t> FramedChannel::recv_expect(Party to,
                             message_kind_name(h.kind));
   }
   dir.next_recv_seq = want + 1;
-  ++stats_.frames_delivered;
   ++kind_counts_[static_cast<int>(to)][static_cast<std::size_t>(h.kind)];
   return std::vector<std::uint8_t>(frame.begin() + FrameHeader::kWireSize,
                                    frame.end());

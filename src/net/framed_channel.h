@@ -111,8 +111,6 @@ class FramedChannel {
 
   struct Stats {
     std::uint64_t frames_sent = 0;
-    std::uint64_t frames_delivered = 0;
-    std::uint64_t framing_bytes = 0;    // header overhead on the wire
     std::uint64_t replayed_frames = 0;  // checkpoint-covered virtual sends
     std::uint64_t replayed_bytes = 0;   // bytes those sends did not re-pay
   };

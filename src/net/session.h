@@ -34,7 +34,6 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -49,39 +48,20 @@
 
 namespace primer {
 
-// Liveness heartbeat a running session publishes for external observers
-// (the serving runtime's eviction policy, health snapshots).  The session
-// thread beats it at step and checkpoint granularity; observer threads read
-// it concurrently, so the counters are atomics and the phase label is
-// mutex-guarded.
+// Liveness heartbeat a running session publishes for external observers:
+// the serving runtime evicts by its age and reports its checkpoint epoch.
+// The session thread beats it at step and checkpoint granularity; observer
+// threads read it concurrently, so its fields are atomics.
 class SessionProgress {
  public:
-  void beat(const char* phase) {
-    last_beat_ns_.store(now_ns(), std::memory_order_release);
-    if (phase != nullptr) {
-      std::lock_guard<std::mutex> lk(mu_);
-      phase_ = phase;
-    }
-  }
-  void on_step() {
-    steps_.fetch_add(1, std::memory_order_relaxed);
-    last_beat_ns_.store(now_ns(), std::memory_order_release);
-  }
+  void beat() { last_beat_ns_.store(now_ns(), std::memory_order_release); }
   void on_checkpoint(std::uint32_t epoch) {
-    checkpoints_.fetch_add(1, std::memory_order_relaxed);
     epoch_.store(epoch, std::memory_order_relaxed);
-    last_beat_ns_.store(now_ns(), std::memory_order_release);
+    beat();
   }
 
-  std::uint64_t steps() const { return steps_.load(std::memory_order_relaxed); }
-  std::uint64_t checkpoints() const {
-    return checkpoints_.load(std::memory_order_relaxed);
-  }
+  // Last checkpoint epoch the session persisted (0 before the first).
   std::uint32_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
-  std::string phase() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return phase_;
-  }
   // Wall seconds since the session last showed signs of life (never
   // negative; a session that has not beaten yet reports time since
   // construction).
@@ -98,12 +78,8 @@ class SessionProgress {
         .count();
   }
 
-  std::atomic<std::uint64_t> steps_{0};
-  std::atomic<std::uint64_t> checkpoints_{0};
   std::atomic<std::uint32_t> epoch_{0};
   std::atomic<std::int64_t> last_beat_ns_{now_ns()};
-  mutable std::mutex mu_;
-  std::string phase_ = "queued";
 };
 
 // Thrown by the runtime when a drain request catches a session at a phase

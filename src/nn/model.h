@@ -103,7 +103,6 @@ class FloatBert {
   std::size_t predict(const std::vector<std::size_t>& tokens) const;
 
   const BertWeightsD& weights() const { return w_; }
-  BertWeightsD& mutable_weights() { return w_; }
 
  private:
   BertWeightsD w_;

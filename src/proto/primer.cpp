@@ -87,12 +87,8 @@ void summarize_costs(PrimerRunResult& result, const ProtocolContext& pc) {
   result.min_noise_margin_bits = grand.min_noise_margin_bits;
   result.gc_and_gates = grand.gc_and_gates;
   result.gc_garble_s = grand.gc_garble_seconds;
-  result.gc_garble_cpu_s = grand.gc_garble_cpu_seconds;
   result.gc_eval_s = grand.gc_eval_seconds;
-  result.gc_eval_cpu_s = grand.gc_eval_cpu_seconds;
   result.gc_table_bytes = grand.gc_table_bytes;
-  result.gc_streamed_table_bytes = grand.gc_streamed_table_bytes;
-  result.gc_table_chunks = grand.gc_table_chunks;
 }
 
 }  // namespace
@@ -227,14 +223,9 @@ PrimerRunResult PrimerEngine::run_resilient(
 PrimerRunResult PrimerEngine::run_session(
     const std::vector<std::size_t>& tokens, const SessionOptions& options) {
   if (keys_ == nullptr) {
-    const auto& cfg = w_.config;
-    const std::size_t n = cfg.tokens;
-    const std::size_t dh = cfg.head_dim();
-    std::vector<int> steps = {1, static_cast<int>(n)};
-    for (std::size_t s = 2; s <= std::max(dh, n); s <<= 1) {
-      steps.push_back(static_cast<int>(s));
-    }
-    keys_ = std::make_unique<ClientKeys>(profile_, seed_, steps);
+    // Empty step list: each protocol object registers the rotation steps
+    // it uses (ClientKeys::ensure_rotation_steps).
+    keys_ = std::make_unique<ClientKeys>(profile_, seed_, std::vector<int>{});
   }
   ProtocolContext pc(*keys_, seed_, options);
   try {

@@ -67,17 +67,11 @@ struct PrimerRunResult {
   // nothing was decrypted).
   double min_noise_margin_bits = 0;
   // GC nonlinear-layer totals across all stages of the run: AND gates
-  // garbled, garble/eval compute split (wall + aggregate CPU), achieved
-  // garbling throughput, and garbled-table traffic (streamed share via
-  // kGcTableChunk frames).
+  // garbled, garble/eval compute (wall) and garbled-table bytes shipped.
   std::uint64_t gc_and_gates = 0;
   double gc_garble_s = 0;
-  double gc_garble_cpu_s = 0;
   double gc_eval_s = 0;
-  double gc_eval_cpu_s = 0;
   std::uint64_t gc_table_bytes = 0;
-  std::uint64_t gc_streamed_table_bytes = 0;
-  std::uint64_t gc_table_chunks = 0;
   // Session-resilience telemetry: restarts survived before this result was
   // produced, the checkpoint epoch the final attempt resumed from (0 =
   // fresh), frames/bytes satisfied by zero-cost checkpoint replay instead of
@@ -101,14 +95,6 @@ struct PrimerRunResult {
   bool store_degraded = false;
   std::uint64_t checkpoint_blob_bytes = 0;
   CostAccumulator costs;  // per step breakdown (Table II columns)
-
-  double gc_garble_gates_per_s() const {
-    return gc_garble_s > 0 ? static_cast<double>(gc_and_gates) / gc_garble_s
-                           : 0.0;
-  }
-  double gc_eval_gates_per_s() const {
-    return gc_eval_s > 0 ? static_cast<double>(gc_and_gates) / gc_eval_s : 0.0;
-  }
 
   double offline_total_s() const { return offline_compute_s + offline_network_s; }
   double online_total_s() const { return online_compute_s + online_network_s; }

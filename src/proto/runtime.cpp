@@ -98,10 +98,7 @@ void ProtocolContext::step(const std::string& phase,
   if (deadline.enabled()) {
     deadline.check("step " + phase + "/" + step_name);
   }
-  if (session.progress != nullptr) {
-    session.progress->beat(phase.c_str());
-    session.progress->on_step();
-  }
+  if (session.progress != nullptr) session.progress->beat();
   const auto net_before = channel.snapshot();
   const HeOpCounters he_before = eval.counters();
   dec.take_min_margin();  // reset so the step sees only its own margins
@@ -120,7 +117,6 @@ void ProtocolContext::step(const std::string& phase,
   cost.he_mults += now.plain_mults - he_before.plain_mults;
   cost.he_ct_mults += now.ct_mults - he_before.ct_mults;
   cost.he_rotations += now.rotations - he_before.rotations;
-  cost.he_adds += now.adds - he_before.adds;
   cost.min_noise_margin_bits =
       std::min(cost.min_noise_margin_bits, dec.take_min_margin());
 }

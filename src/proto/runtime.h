@@ -90,9 +90,9 @@ class ClientKeys {
   // Adds Galois keys for any of `steps` not yet present.  Protocol objects
   // call this from their constructors with the BSGS step sets their packed
   // matmuls and rotate-sums need, so key material always matches the
-  // rotation schedule regardless of what the engine seeded.  Once the set
-  // is installed a missing step throws std::logic_error instead: a key
-  // minted then would never reach the server.
+  // rotation schedule.  Once the set is installed a missing step throws
+  // std::logic_error instead: a key minted then would never reach the
+  // server.
   void ensure_rotation_steps(const std::vector<int>& steps);
 
   // Set by the engine when the run that shipped the keys has returned, so
@@ -257,15 +257,8 @@ class GcStage {
     PhaseCost& cost = pc_.costs.at(phase, step_name);
     cost.gc_and_gates += after.and_gates - before.and_gates;
     cost.gc_garble_seconds += after.garble_seconds - before.garble_seconds;
-    cost.gc_garble_cpu_seconds +=
-        after.garble_cpu_seconds - before.garble_cpu_seconds;
     cost.gc_eval_seconds += after.eval_seconds - before.eval_seconds;
-    cost.gc_eval_cpu_seconds +=
-        after.eval_cpu_seconds - before.eval_cpu_seconds;
     cost.gc_table_bytes += after.table_bytes - before.table_bytes;
-    cost.gc_streamed_table_bytes +=
-        after.streamed_table_bytes - before.streamed_table_bytes;
-    cost.gc_table_chunks += after.table_chunks - before.table_chunks;
   }
 
   ProtocolContext& pc_;

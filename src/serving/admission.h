@@ -26,14 +26,6 @@ enum class LoadShedPolicy {
   kEvictLongestStalled,
 };
 
-inline const char* load_shed_policy_name(LoadShedPolicy p) {
-  switch (p) {
-    case LoadShedPolicy::kRejectNewest: return "reject_newest";
-    case LoadShedPolicy::kEvictLongestStalled: return "evict_longest_stalled";
-  }
-  return "unknown";
-}
-
 // Typed, retryable admission rejection.  Retryable by design: overload is
 // transient, and a client that backs off and resubmits may well be admitted
 // — its checkpoint store (if any) is untouched by the shed.

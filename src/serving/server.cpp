@@ -173,7 +173,7 @@ void PrimerServer::serve(const std::shared_ptr<SessionTicket>& t) {
   out.client_id = t->req_.client_id;
   out.wait_s = t->queued_.seconds();
   t->started_.store(true, std::memory_order_release);
-  t->progress_.beat("starting");
+  t->progress_.beat();
   Stopwatch service;
 
   // Per-client session slot: quarantined and duplicate-in-flight clients

@@ -1,10 +1,9 @@
-// Additive secret sharing over Z_t and Beaver multiplication triples.
+// Additive secret sharing over Z_t.
 //
 // All intermediate Transformer state in the Primer protocols lives as a
 // pair of matrices (client share, server share) with X = (Xc + Xs) mod t.
-// Beaver triples (A, B, C = A*B) let two parties multiply shared matrices
-// with only plaintext work online — the FHGS protocol (§III-B) is exactly
-// an HE-backed generator of such triples for the attention products.
+// Shared matrices are multiplied by the HE-backed FHGS protocol (§III-B,
+// proto/attention.h), not by a triple dealer.
 #pragma once
 
 #include <cstdint>
@@ -112,31 +111,5 @@ class ShareRing {
  private:
   std::int64_t t_;
 };
-
-// A Beaver triple for matrix multiplication of shapes (m x k) * (k x n):
-// C = A * B in the ring, each factor additively shared.
-struct BeaverTriple {
-  SharePair a;
-  SharePair b;
-  SharePair c;
-};
-
-// Dealer-style triple generation directly in the ring (used in tests; the
-// protocol-grade generation is FHGS, which produces exactly this structure
-// via HE — see proto/fhgs.h).
-BeaverTriple make_beaver_triple(const ShareRing& ring, Rng& rng,
-                                std::size_t m, std::size_t k, std::size_t n);
-
-// Online Beaver multiplication: given shares of X and Y and a triple,
-// computes shares of X*Y.  `open_*` are the publicly reconstructed
-// differences E = X - A, F = Y - B.
-struct BeaverMulResult {
-  SharePair product;
-  MatI opened_e;
-  MatI opened_f;
-};
-
-BeaverMulResult beaver_multiply(const ShareRing& ring, const SharePair& x,
-                                const SharePair& y, const BeaverTriple& triple);
 
 }  // namespace primer

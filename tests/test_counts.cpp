@@ -1,11 +1,12 @@
-// Exact transcript counters of the two single-client benchmark shapes.
+// Exact transcript counters of the three benchmark shapes.
 //
 // Wire bytes, flights, frames, HE operation counts and garbled-circuit sizes
 // depend neither on the host, the thread count, the kernel tier nor the
 // tokens, so every one is pinned to an exact value here.  A change that moves
-// a count must edit its row below, which puts the move in review.  Each shape
-// runs two queries on one engine, as the benchmark does: the first ships the
-// client's keys, the second sends none.
+// a count must edit its row below, which puts the move in review.  Each
+// single-client shape runs two queries on one engine, as the benchmark does:
+// the first ships the client's keys, the second sends none.  The serving
+// shape sends one client's query, the same query again, and a new one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include "common/rng.h"
 #include "nn/model.h"
 #include "proto/primer.h"
+#include "serving/server.h"
 
 namespace primer {
 namespace {
@@ -68,6 +70,23 @@ void expect_counts(const BertConfig& cfg, PrimerVariant variant,
   }
 }
 
+// Per-request telemetry of the serving shape, beyond the wire counts.
+struct ServeCounts {
+  std::uint64_t bytes, rounds, online_rounds, frames;
+  std::uint64_t replayed_frames, replayed_bytes, handshake_bytes;
+  std::uint32_t resumed_epoch;
+};
+
+// PrimerServer (1 worker, in-memory store) over BERT-nano, Primer-FP,
+// kProto2048 (the serve-mixed shape).  Each server session builds its own
+// engine, so both fresh requests ship the keys; the repeat resumes at the
+// last checkpoint and replays every frame before it at zero wire cost.
+constexpr ServeCounts kServeMixed[] = {
+    {102640133, 146, 84, 329, 0, 0, 76, 0},
+    {13292, 4, 2, 329, 324, 102626881, 116, 5},
+    {102640133, 146, 84, 329, 0, 0, 76, 0},
+};
+
 TEST(TranscriptCounts, NanoProdFp) {
   expect_counts(bert_nano(), PrimerVariant::kFP, HeProfile::kProd8192,
                 kNanoProdFp);
@@ -79,6 +98,38 @@ TEST(TranscriptCounts, TwoBlockNanoProtoFpc) {
   cfg.blocks = 2;
   expect_counts(cfg, PrimerVariant::kFPC, HeProfile::kProto2048,
                 kNano2ProtoFpc);
+}
+
+TEST(TranscriptCounts, ServeMixedShape) {
+  Rng weight_rng(2026);
+  ModelSpec spec;
+  spec.weights = quantize(BertWeightsD::random(bert_nano(), weight_rng));
+  spec.variant = PrimerVariant::kFP;
+  spec.profile = HeProfile::kProto2048;
+  spec.seed = 7;
+  ServerConfig cfg;
+  cfg.workers = 1;
+  PrimerServer server({spec}, cfg);
+  const std::vector<std::vector<std::size_t>> queries = {
+      {3, 17, 9, 28}, {3, 17, 9, 28}, {30, 0, 12, 5}};
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE("request " + std::to_string(i + 1));
+    InferenceRequest req;
+    req.client_id = 1;
+    req.tokens = queries[i];
+    const SessionOutcome out = server.infer(std::move(req));
+    ASSERT_EQ(out.status, SessionStatus::kCompleted) << out.error;
+    const PrimerRunResult& r = out.result;
+    const ServeCounts& w = kServeMixed[i];
+    EXPECT_EQ(r.total_bytes, w.bytes);
+    EXPECT_EQ(r.rounds, w.rounds);
+    EXPECT_EQ(r.costs.phase_total("online").rounds, w.online_rounds);
+    EXPECT_EQ(r.frames_sent, w.frames);
+    EXPECT_EQ(r.replayed_frames, w.replayed_frames);
+    EXPECT_EQ(r.replayed_bytes, w.replayed_bytes);
+    EXPECT_EQ(r.handshake_bytes, w.handshake_bytes);
+    EXPECT_EQ(r.resumed_epoch, w.resumed_epoch);
+  }
 }
 
 }  // namespace

@@ -148,11 +148,11 @@ TEST(Crc32c, KnownAnswerAndChaining) {
 
 TEST(Frame, EncodeParseRoundTrip) {
   const std::vector<std::uint8_t> payload = {1, 2, 3, 250, 251, 252};
-  const auto frame = encode_frame(MessageKind::kGcTables, 42,
+  const auto frame = encode_frame(MessageKind::kGcTableChunk, 42,
                                   payload.data(), payload.size());
   ASSERT_EQ(frame.size(), FrameHeader::kWireSize + payload.size());
   const FrameHeader h = parse_frame(frame, "test");
-  EXPECT_EQ(h.kind, MessageKind::kGcTables);
+  EXPECT_EQ(h.kind, MessageKind::kGcTableChunk);
   EXPECT_EQ(h.seq, 42u);
   EXPECT_EQ(h.payload_len, payload.size());
   EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
@@ -217,12 +217,12 @@ TEST(FramedChannel, RoundTripAndTypedEmptyRecv) {
             payload);
   // Nothing pending: typed error naming the receiving party and the kind.
   try {
-    (void)fch.recv_expect(Party::kServer, MessageKind::kGcTables);
+    (void)fch.recv_expect(Party::kServer, MessageKind::kGcTableChunk);
     FAIL() << "expected ProtocolError";
   } catch (const ProtocolError& e) {
     EXPECT_EQ(e.kind(), ProtocolErrorKind::kSequenceGap);
     EXPECT_NE(std::string(e.what()).find("server"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("gc_tables"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("gc_table_chunk"), std::string::npos);
   }
 }
 
@@ -273,7 +273,6 @@ std::vector<std::uint8_t> payload_for(MessageKind kind) {
       }
       return w.take();
     }
-    case MessageKind::kGcTables:
     case MessageKind::kGcGarblerLabels:
       return std::vector<std::uint8_t>(8 * sizeof(Label), 0xab);
     case MessageKind::kGcTableChunk: {
@@ -320,12 +319,11 @@ std::vector<std::uint8_t> payload_for(MessageKind kind) {
 TEST(CorruptionMatrix, EveryKindEveryFaultThrowsTyped) {
   const MessageKind kinds[] = {
       MessageKind::kCiphertexts,       MessageKind::kRingMatrix,
-      MessageKind::kGcTables,          MessageKind::kGcDecodeBits,
-      MessageKind::kGcGarblerLabels,   MessageKind::kGcOutputBits,
-      MessageKind::kOtSetup,           MessageKind::kOtReceiverColumns,
-      MessageKind::kOtSenderMasked,    MessageKind::kGcTableChunk,
-      MessageKind::kSessionHello,      MessageKind::kSessionResume,
-      MessageKind::kKeyMaterial,
+      MessageKind::kGcDecodeBits,      MessageKind::kGcGarblerLabels,
+      MessageKind::kGcOutputBits,      MessageKind::kOtSetup,
+      MessageKind::kOtReceiverColumns, MessageKind::kOtSenderMasked,
+      MessageKind::kGcTableChunk,      MessageKind::kSessionHello,
+      MessageKind::kSessionResume,     MessageKind::kKeyMaterial,
   };
   enum class Fault { kTruncateHeader, kTruncatePayload, kBitflip, kWrongKind, kReplay };
   const Fault faults[] = {Fault::kTruncateHeader, Fault::kTruncatePayload,
@@ -471,17 +469,17 @@ TEST(CorruptionMatrix, GcLabelPayloadSizeMismatchIsMalformed) {
   FramedChannel fch(ch, FaultSpec{});
   Rng rng(21);
   GcSession session(fch, rng);
-  session.set_table_transfer(TableTransfer::kMonolithic);
-  // Pre-load a checksum-valid kGcTables frame whose payload is one label
-  // short of what the circuit requires; offline() must reject it.
-  const std::size_t table_labels = 2 * circ.and_count();
-  const std::vector<std::uint8_t> bad((table_labels - 1) * sizeof(Label), 0);
-  ch.send(Party::kServer, encode_frame(MessageKind::kGcTables, 0, bad.data(),
-                                       bad.size()));
-  // The session's own send of the true tables lands at seq 1 and is
-  // ignored; the evaluator parses the hostile seq-0 frame first.
+  session.offline(circ, RevealTo::kBoth);
+  // Pre-load a checksum-valid kGcGarblerLabels frame whose payload is one
+  // label short of the garbler's inputs; online() must reject it.  The
+  // session's own send of the true labels lands behind it at the same
+  // sequence number and is never read.
+  const std::vector<std::uint8_t> bad((w - 1) * sizeof(Label), 0);
+  ch.send(Party::kServer,
+          encode_frame(MessageKind::kGcGarblerLabels,
+                       fch.sent_count(Party::kServer), bad.data(), bad.size()));
   try {
-    session.offline(circ, RevealTo::kBoth);
+    (void)session.online(value_to_bits(3, w), value_to_bits(4, w));
     FAIL() << "expected ProtocolError";
   } catch (const ProtocolError& e) {
     EXPECT_EQ(e.kind(), ProtocolErrorKind::kMalformed) << e.what();
@@ -523,7 +521,6 @@ TEST(CorruptionMatrix, GcTableChunkStructuralDefectsAreMalformed) {
     FramedChannel fch(ch, FaultSpec{});
     Rng rng(21);
     GcSession session(fch, rng);
-    session.set_table_transfer(TableTransfer::kStreamed);
     ch.send(Party::kServer, encode_frame(MessageKind::kGcTableChunk, 0,
                                          payload.data(), payload.size()));
     try {
@@ -531,6 +528,106 @@ TEST(CorruptionMatrix, GcTableChunkStructuralDefectsAreMalformed) {
       FAIL() << "expected ProtocolError";
     } catch (const ProtocolError& e) {
       EXPECT_EQ(e.kind(), ProtocolErrorKind::kMalformed) << e.what();
+    }
+  }
+}
+
+// Checksum-valid OT and GC bit frames one byte shorter or longer than an
+// honest peer sends (128*64 and 128*32 B of base-OT setup, 16 and 32 B per
+// OT, ceil(bits/8) B of decode or output bits).  Each is pre-loaded ahead
+// of the honest frame at its sequence number and must be rejected as
+// kMalformed, not absorbed and left to fail later as a retryable gap.
+TEST(CorruptionMatrix, OtAndGcBitPayloadSizeDefectsAreMalformed) {
+  // XOR-only circuit (4 garbler + 4 evaluator inputs, 4 outputs): no AND
+  // gates, so no table chunk precedes the decode bits.
+  CircuitBuilder b;
+  const Bus g = b.add_input_bus(4);
+  const Bus e = b.add_input_bus(4);
+  Bus outs;
+  for (std::size_t i = 0; i < 4; ++i) outs.push_back(b.xor_gate(g[i], e[i]));
+  b.set_outputs(outs);
+  const Circuit circ = b.build();
+  const std::vector<bool> bits = {true, false, true, true};
+  const std::vector<Label> labels(4);
+
+  const auto expect_malformed = [](const std::function<void()>& fn) {
+    try {
+      fn();
+      FAIL() << "expected ProtocolError";
+    } catch (const ProtocolError& e) {
+      EXPECT_EQ(e.kind(), ProtocolErrorKind::kMalformed) << e.what();
+    }
+  };
+  // Queues a frame of `bytes` zero bytes from `from`, `ahead` frames past
+  // the sender's next sequence number.
+  const auto inject = [](FramedChannel& fch, Party from, MessageKind kind,
+                         std::size_t bytes, std::uint64_t ahead = 0) {
+    const std::vector<std::uint8_t> p(bytes, 0);
+    fch.raw().send(from, encode_frame(kind, fch.sent_count(from) + ahead,
+                                      p.data(), p.size()));
+  };
+
+  for (const bool longer : {false, true}) {
+    SCOPED_TRACE(longer ? "one byte long" : "one byte short");
+    const auto size = [&](std::size_t honest) {
+      return longer ? honest + 1 : honest - 1;
+    };
+    {
+      SCOPED_TRACE("ot_setup from client");
+      Channel ch;
+      FramedChannel fch(ch, FaultSpec{});
+      SimulatedOt ot(fch);
+      inject(fch, Party::kClient, MessageKind::kOtSetup, size(128 * 64));
+      expect_malformed([&] { ot.setup(); });
+    }
+    {
+      SCOPED_TRACE("ot_setup from server");
+      Channel ch;
+      FramedChannel fch(ch, FaultSpec{});
+      SimulatedOt ot(fch);
+      inject(fch, Party::kServer, MessageKind::kOtSetup, size(128 * 32));
+      expect_malformed([&] { ot.setup(); });
+    }
+    {
+      SCOPED_TRACE("ot_receiver_columns");
+      Channel ch;
+      FramedChannel fch(ch, FaultSpec{});
+      SimulatedOt ot(fch);
+      ot.setup();
+      inject(fch, Party::kClient, MessageKind::kOtReceiverColumns,
+             size(4 * 16));
+      expect_malformed([&] { (void)ot.transfer(labels, labels, bits); });
+    }
+    {
+      SCOPED_TRACE("ot_sender_masked");
+      Channel ch;
+      FramedChannel fch(ch, FaultSpec{});
+      SimulatedOt ot(fch);
+      ot.setup();
+      inject(fch, Party::kServer, MessageKind::kOtSenderMasked, size(4 * 32));
+      expect_malformed([&] { (void)ot.transfer(labels, labels, bits); });
+    }
+    {
+      SCOPED_TRACE("gc_decode_bits");
+      Channel ch;
+      FramedChannel fch(ch, FaultSpec{});
+      Rng rng(21);
+      GcSession session(fch, rng);
+      inject(fch, Party::kServer, MessageKind::kGcDecodeBits, size(1));
+      expect_malformed([&] { session.offline(circ, RevealTo::kBoth); });
+    }
+    {
+      SCOPED_TRACE("gc_output_bits");
+      Channel ch;
+      FramedChannel fch(ch, FaultSpec{});
+      Rng rng(21);
+      GcSession session(fch, rng);
+      session.offline(circ, RevealTo::kGarbler);
+      // The evaluator's OT columns precede its output bits on the wire:
+      // queue an honest copy of them, then the defective bits.
+      inject(fch, Party::kClient, MessageKind::kOtReceiverColumns, 4 * 16);
+      inject(fch, Party::kClient, MessageKind::kGcOutputBits, size(1), 1);
+      expect_malformed([&] { (void)session.online(bits, bits); });
     }
   }
 }

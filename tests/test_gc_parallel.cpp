@@ -97,7 +97,7 @@ TEST(GcParallel, TablesLabelsOutputsInvariantAcrossThreadCounts) {
   }
 }
 
-TEST(GcParallel, SessionOutputsInvariantAcrossThreadCountsAndTransfers) {
+TEST(GcParallel, SessionOutputsInvariantAcrossThreadCounts) {
   for (const auto& [name, circ] : fixed_circuit_suite(4)) {
     SCOPED_TRACE(name);
     Rng in_rng(8128);
@@ -110,23 +110,24 @@ TEST(GcParallel, SessionOutputsInvariantAcrossThreadCountsAndTransfers) {
       (i < ng ? garbler_bits : evaluator_bits).push_back(in_rng.next() & 1);
     }
 
-    auto run = [&](std::size_t threads, TableTransfer transfer) {
+    auto run = [&](std::size_t threads) {
       ThreadGuard guard(threads);
       Channel ch;
       FramedChannel fch(ch, FaultSpec{});
       Rng rng(5555);
       GcSession session(fch, rng);
-      session.set_table_transfer(transfer);
       session.set_stream_chunk_rows(64);
       session.offline(circ, RevealTo::kBoth);
       return session.online(garbler_bits, evaluator_bits);
     };
 
-    const auto expect = run(1, TableTransfer::kMonolithic);
+    // The plaintext evaluation of the circuit is the reference.
+    std::vector<bool> inputs = garbler_bits;
+    inputs.insert(inputs.end(), evaluator_bits.begin(), evaluator_bits.end());
+    const auto expect = eval_circuit(circ, inputs);
     for (const std::size_t n : kThreadCounts) {
       SCOPED_TRACE(n);
-      EXPECT_EQ(run(n, TableTransfer::kMonolithic), expect);
-      EXPECT_EQ(run(n, TableTransfer::kStreamed), expect);
+      EXPECT_EQ(run(n), expect);
     }
   }
 }

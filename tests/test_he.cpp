@@ -131,12 +131,6 @@ TEST_F(HeTest, EncodeRejectsOutOfRange) {
       std::invalid_argument);
 }
 
-TEST_F(HeTest, SignedEncodeRoundTrip) {
-  std::vector<i64> v = {0, 1, -1, 5000, -5000, 123, -456};
-  const auto decoded = encoder_->decode_signed(encoder_->encode_signed(v));
-  for (std::size_t i = 0; i < v.size(); ++i) EXPECT_EQ(decoded[i], v[i]);
-}
-
 TEST_F(HeTest, SymmetricEncryptDecrypt) {
   const auto v = random_slots(ctx_->t(), 100);
   const auto ct = enc_sym_->encrypt(encoder_->encode(v));

@@ -1,5 +1,5 @@
-// Tests for the secret-sharing substrate: ring arithmetic, share/reconstruct
-// round trips, Beaver triple generation and Beaver matrix multiplication.
+// Tests for the secret-sharing substrate: ring arithmetic and
+// share/reconstruct round trips.
 #include <gtest/gtest.h>
 
 #include "ss/secret_share.h"
@@ -63,45 +63,6 @@ TEST(ShareRing, MulMatchesWideArithmetic) {
   }
   EXPECT_EQ(static_cast<std::uint64_t>(c(1, 2)),
             static_cast<std::uint64_t>(acc % kT));
-}
-
-TEST(Beaver, TripleSatisfiesInvariant) {
-  const ShareRing ring(kT);
-  Rng rng(4);
-  const auto triple = make_beaver_triple(ring, rng, 3, 4, 2);
-  const MatI a = ring.add(triple.a.client, triple.a.server);
-  const MatI b = ring.add(triple.b.client, triple.b.server);
-  const MatI c = ring.add(triple.c.client, triple.c.server);
-  EXPECT_EQ(ring.reduce(ring.mul(a, b)), ring.reduce(c));
-}
-
-TEST(Beaver, MultiplicationOfSharedMatrices) {
-  const ShareRing ring(kT);
-  Rng rng(5);
-  MatI x(2, 3), y(3, 2);
-  for (auto& v : x.data()) v = rng.uniform_int(-5000, 5000);
-  for (auto& v : y.data()) v = rng.uniform_int(-5000, 5000);
-  const auto xs = ring.share(x, rng);
-  const auto ys = ring.share(y, rng);
-  const auto triple = make_beaver_triple(ring, rng, 2, 3, 2);
-  const auto result = beaver_multiply(ring, xs, ys, triple);
-  const MatI got = ring.reconstruct(result.product);
-  const MatI expect = ring.center(ring.mul(ring.reduce(x), ring.reduce(y)));
-  EXPECT_EQ(got, expect);
-}
-
-TEST(Beaver, OpenedValuesAreMasked) {
-  // E = X - A and F = Y - B leak nothing because A, B are uniform; check
-  // they differ from the inputs (overwhelming probability).
-  const ShareRing ring(kT);
-  Rng rng(6);
-  MatI x(2, 2, 7);  // constant input
-  const auto xs = ring.share(x, rng);
-  const auto ys = ring.share(x, rng);
-  const auto triple = make_beaver_triple(ring, rng, 2, 2, 2);
-  const auto result = beaver_multiply(ring, xs, ys, triple);
-  EXPECT_NE(result.opened_e, ring.reduce(x));
-  EXPECT_NE(result.opened_f, ring.reduce(x));
 }
 
 }  // namespace
