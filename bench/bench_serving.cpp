@@ -106,7 +106,6 @@ int run(const Options& opt) {
   ServerConfig cfg;
   cfg.workers = opt.workers;
   cfg.max_queue = 4 * opt.workers;  // bounded: overload sheds, not buffers
-  cfg.policy = LoadShedPolicy::kRejectNewest;
   PrimerServer server({spec}, cfg);
 
   const std::vector<std::size_t> tokens = {3, 17, 9, 28};

@@ -1,29 +1,25 @@
-// Cooperative cancellation and wall-clock watchdog support.
+// Cooperative cancellation.
 //
-// The protocol engine is a long straight-line computation; a hang (lost
-// peer, livelocked retry loop, stuck kernel) would otherwise block forever.
-// A CancelToken is a flag that long-running loops poll at natural yield
-// points — transport receive loops, protocol step boundaries, thread-pool
-// chunk boundaries — and a DeadlineWatchdog arms that flag from a separate
-// thread after a wall-clock budget expires.  Cancellation is cooperative:
-// code that never reaches a poll point (e.g. a wedged syscall) cannot be
-// interrupted, but every protocol phase polls at frame granularity.
+// The protocol engine is a long straight-line computation.  A CancelToken
+// is a flag that long-running loops poll at natural yield points —
+// transport receive loops, protocol step boundaries, thread-pool chunk
+// boundaries — and that another thread fires; the serving runtime's drain
+// fires it at its deadline.  Cancellation is cooperative: code that never
+// reaches a poll point (e.g. a wedged syscall) cannot be interrupted, but
+// every protocol phase polls at frame granularity.
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 namespace primer {
 
 // Thrown at a poll point after the token was cancelled.  Deliberately not a
-// ProtocolError: cancellation is a local decision, not a wire defect, but
-// the session layer treats both as retryable.
+// ProtocolError: cancellation is a local decision, not a wire defect, so
+// the restart loop (PrimerEngine::run_resilient) never retries it.
 class OperationCancelled : public std::runtime_error {
  public:
   explicit OperationCancelled(const std::string& what)
@@ -66,46 +62,6 @@ class CancelToken {
   std::atomic<bool> cancelled_{false};
   mutable std::mutex mu_;
   std::string reason_;
-};
-
-// Arms `token` after `budget_s` wall-clock seconds unless destroyed first.
-// Scope it around a bounded operation; destruction disarms and joins.
-class DeadlineWatchdog {
- public:
-  DeadlineWatchdog(CancelToken& token, double budget_s, std::string what)
-      : token_(token) {
-    if (budget_s <= 0) return;
-    thread_ = std::thread([this, budget_s, what = std::move(what)] {
-      std::unique_lock<std::mutex> lk(mu_);
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(budget_s));
-      if (cv_.wait_until(lk, deadline, [this] { return disarmed_; })) return;
-      token_.cancel(what + ": wall-clock watchdog expired after " +
-                    std::to_string(budget_s) + "s");
-    });
-  }
-
-  ~DeadlineWatchdog() {
-    if (!thread_.joinable()) return;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      disarmed_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
-  DeadlineWatchdog(const DeadlineWatchdog&) = delete;
-  DeadlineWatchdog& operator=(const DeadlineWatchdog&) = delete;
-
- private:
-  CancelToken& token_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool disarmed_ = false;
-  std::thread thread_;
 };
 
 }  // namespace primer

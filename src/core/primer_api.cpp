@@ -57,31 +57,6 @@ InferenceResult PrivateInferenceSession::infer(
   return r;
 }
 
-SessionOutcome ServerHandle::infer_outcome(std::vector<std::size_t> tokens,
-                                           std::size_t model) {
-  InferenceRequest req;
-  req.client_id = client_id_;
-  req.model = model;
-  req.tokens = std::move(tokens);
-  return server_->infer(std::move(req));
-}
-
-InferenceResult ServerHandle::infer(std::vector<std::size_t> tokens,
-                                    std::size_t model) {
-  SessionOutcome out = infer_outcome(std::move(tokens), model);
-  if (out.status != SessionStatus::kCompleted) {
-    throw std::runtime_error("ServerHandle::infer: session resolved to '" +
-                             std::string(session_status_name(out.status)) +
-                             "': " + out.error);
-  }
-  InferenceResult r;
-  r.run = std::move(out.result);
-  r.logits = r.run.logits;
-  r.predicted = r.run.predicted;
-  for (const auto v : r.logits) r.logits_real.push_back(fp_decode(v));
-  return r;
-}
-
 std::vector<std::int64_t> PrivateInferenceSession::reference_logits(
     const std::vector<std::size_t>& tokens) const {
   if (engine_.variant() == PrimerVariant::kFPC) {

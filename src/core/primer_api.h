@@ -25,7 +25,7 @@
 #include "nn/train.h"
 #include "proto/cost_model.h"
 #include "proto/primer.h"
-#include "serving/server.h"
+#include "serving/server.h"  // PrimerServer: the multi-tenant entry point
 
 namespace primer {
 
@@ -62,36 +62,6 @@ class PrivateInferenceSession {
 
  private:
   PrimerEngine engine_;
-};
-
-// Client-side handle onto a shared PrimerServer: binds a client identity to
-// the server so repeat requests reuse the same cached key material and
-// checkpoint history (SessionManager).  This is the multi-tenant entry
-// point; PrivateInferenceSession remains the single-tenant one.
-//
-//   primer::PrimerServer server({{weights, primer::PrimerVariant::kFP}});
-//   primer::ServerHandle alice(server, /*client_id=*/1);
-//   auto result = alice.infer({3, 17, 9, 28});
-//
-// infer() throws ServerOverloaded (typed, retryable) when admission sheds
-// the request and std::runtime_error when the session resolves to a
-// non-completed outcome; infer_outcome() returns the typed outcome instead
-// of throwing.
-class ServerHandle {
- public:
-  ServerHandle(PrimerServer& server, std::uint64_t client_id)
-      : server_(&server), client_id_(client_id) {}
-
-  InferenceResult infer(std::vector<std::size_t> tokens,
-                        std::size_t model = 0);
-  SessionOutcome infer_outcome(std::vector<std::size_t> tokens,
-                               std::size_t model = 0);
-
-  std::uint64_t client_id() const { return client_id_; }
-
- private:
-  PrimerServer* server_;
-  std::uint64_t client_id_;
 };
 
 }  // namespace primer

@@ -1,9 +1,6 @@
 #include "gc/garble.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -268,35 +265,14 @@ struct GcKernelTier {
 
 constexpr GcKernelTier kSseTier{&garble_and_span, &eval_and_span, "sse"};
 
-// Tier selection: VAES when the TU was built and cpuid agrees, overridable
-// per-call via PRIMER_GC_KERNEL ("vaes" / "sse") — re-read every time so
-// tests can flip tiers with setenv; getenv is noise next to a garble.
-GcKernelTier gc_kernel_tier() {
-  static const bool vaes_ok =
-      vaes_garble_span() != nullptr && cpu_has_vaes512();
-  const GcKernelTier vaes_tier{vaes_garble_span(), vaes_eval_span(), "vaes"};
-  const char* env = std::getenv("PRIMER_GC_KERNEL");
-  if (env != nullptr && *env != '\0') {
-    if (std::strcmp(env, "sse") == 0) return kSseTier;
-    if (std::strcmp(env, "vaes") == 0) {
-      if (vaes_ok) return vaes_tier;
-      static std::atomic<bool> warned{false};
-      if (!warned.exchange(true, std::memory_order_relaxed)) {
-        std::fprintf(
-            stderr,
-            "primer: PRIMER_GC_KERNEL=vaes unavailable; using sse tier\n");
-      }
-      return kSseTier;
-    }
-    static std::atomic<bool> warned_unknown{false};
-    if (!warned_unknown.exchange(true, std::memory_order_relaxed)) {
-      std::fprintf(stderr,
-                   "primer: unknown PRIMER_GC_KERNEL '%s' (expected vaes or "
-                   "sse); using default\n",
-                   env);
-    }
-  }
-  return vaes_ok ? vaes_tier : kSseTier;
+// Tier selection, made once: VAES when the TU was built with it and cpuid
+// agrees, the sse tier everywhere else.
+const GcKernelTier& gc_kernel_tier() {
+  static const GcKernelTier tier =
+      vaes_garble_span() != nullptr && cpu_has_vaes512()
+          ? GcKernelTier{vaes_garble_span(), vaes_eval_span(), "vaes"}
+          : kSseTier;
+  return tier;
 }
 
 }  // namespace

@@ -36,8 +36,8 @@ using EvalSpanFn = void (*)(const FixedKeyAes& aes, const std::uint32_t* quads,
 GarbleSpanFn vaes_garble_span();
 EvalSpanFn vaes_eval_span();
 
-// Name of the AND-kernel tier the dispatcher selected ("vaes" or "sse"),
-// after the PRIMER_GC_KERNEL override (values: "vaes", "sse").
+// Name of the AND-kernel tier the dispatcher selected once from cpuid
+// ("vaes" or "sse").
 const char* gc_kernel_name();
 
 }  // namespace primer

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "common/env.h"
 #include "common/parallel.h"
 
 namespace primer {
@@ -148,16 +149,9 @@ Ciphertext Encryptor::encrypt(const Plaintext& pt) const {
 // ---------------------------------------------------------------------------
 
 Decryptor::Decryptor(const HeContext& ctx, const SecretKey& sk)
-    : ctx_(ctx), sk_(sk) {
-  const char* v = std::getenv("PRIMER_NOISE_FLOOR_BITS");
-  if (v != nullptr && *v != '\0') {
-    try {
-      floor_bits_ = std::max(0.0, std::stod(v));
-    } catch (const std::exception&) {
-      floor_bits_ = 0.0;
-    }
-  }
-}
+    : ctx_(ctx),
+      sk_(sk),
+      floor_bits_(env_double("PRIMER_NOISE_FLOOR_BITS", 0.0, 0.0, 1e6)) {}
 
 RnsPoly Decryptor::dot_with_key_powers(const Ciphertext& ct) const {
   if (ct.empty()) throw std::invalid_argument("decrypt: empty ciphertext");
@@ -277,7 +271,6 @@ double noise_sum_log2(double a, double b) {
 }  // namespace
 
 void Evaluator::add_inplace(Ciphertext& a, const Ciphertext& b) const {
-  ++counters_.adds;
   while (a.parts.size() < b.parts.size()) {
     a.parts.emplace_back(ctx_.rns_size(), ctx_.degree(), true);
   }
@@ -288,7 +281,6 @@ void Evaluator::add_inplace(Ciphertext& a, const Ciphertext& b) const {
 }
 
 void Evaluator::sub_inplace(Ciphertext& a, const Ciphertext& b) const {
-  ++counters_.adds;
   while (a.parts.size() < b.parts.size()) {
     a.parts.emplace_back(ctx_.rns_size(), ctx_.degree(), true);
   }
@@ -303,14 +295,12 @@ void Evaluator::negate_inplace(Ciphertext& a) const {
 }
 
 void Evaluator::add_plain_inplace(Ciphertext& a, const Plaintext& pt) const {
-  ++counters_.adds;
   RnsPoly m = ctx_.lift_plaintext(pt);
   ctx_.to_ntt(m);
   ctx_.add_inplace(a.parts[0], m);
 }
 
 void Evaluator::sub_plain_inplace(Ciphertext& a, const Plaintext& pt) const {
-  ++counters_.adds;
   RnsPoly m = ctx_.lift_plaintext(pt);
   ctx_.to_ntt(m);
   ctx_.sub_inplace(a.parts[0], m);
@@ -332,7 +322,6 @@ void Evaluator::multiply_plain_accumulate(Ciphertext& acc, const Ciphertext& a,
   // no temporary ciphertext copy and no second add pass — the inner loop of
   // the packed matmul's Horner chains.
   ++counters_.plain_mults;
-  ++counters_.adds;
   RnsPoly m = ctx_.lift_plaintext(pt);
   ctx_.to_ntt(m);
   while (acc.parts.size() < a.parts.size()) {

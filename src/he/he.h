@@ -55,7 +55,6 @@ class OpCount {
 };
 
 struct HeOpCounters {
-  OpCount adds;
   OpCount plain_mults;
   OpCount ct_mults;
   OpCount rotations;  // all Galois key-switches (hoisted included)
@@ -160,6 +159,8 @@ class Decryptor {
   // Operational floor (bits) below which decryption refuses even when the
   // measured budget is technically positive — a deployment guard-band set
   // with PRIMER_NOISE_FLOOR_BITS (default 0: only true exhaustion throws).
+  // The constructor parses it with common/env.h, so a malformed value
+  // throws std::invalid_argument.
   double noise_floor_bits() const { return floor_bits_; }
 
  private:

@@ -98,8 +98,6 @@ class Channel {
                     simulated_seconds() - s.seconds};
   }
 
-  const NetworkModel& model() const { return model_; }
-
  private:
   void charge(Party from, std::size_t bytes) {
     total_bytes_ += bytes;

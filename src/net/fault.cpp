@@ -21,8 +21,6 @@ FaultSpec FaultSpec::from_env() {
   }
   s.stall_after = env_u64("PRIMER_FAULT_STALL_AFTER", s.stall_after);
   s.stall_s = env_double("PRIMER_FAULT_STALL_S", s.stall_s, 0.0, 86400.0);
-  s.stall_wall_s =
-      env_double("PRIMER_FAULT_STALL_WALL_S", s.stall_wall_s, 0.0, 3600.0);
   s.hostile_after = env_u64("PRIMER_FAULT_HOSTILE_AFTER", s.hostile_after);
   return s;
 }
@@ -40,7 +38,6 @@ FaultInjector::WireEvent FaultInjector::on_wire_frame() {
   if (spec_.stall_after != 0 && ev.frame_index == spec_.stall_after) {
     ++counters_.stalled;
     ev.stall_s = spec_.stall_s;
-    ev.stall_wall_s = spec_.stall_wall_s;
   }
   if (spec_.hostile_after != 0 && ev.frame_index == spec_.hostile_after) {
     ++counters_.hostile;

@@ -28,8 +28,6 @@
 //                             store (tools/crash_soak.py)
 //   PRIMER_FAULT_STALL_AFTER  stall delivery of the Nth wire frame
 //   PRIMER_FAULT_STALL_S      seconds the stall lasts (simulated time)
-//   PRIMER_FAULT_STALL_WALL_S real wall-clock seconds the stall also burns
-//                             (for exercising wall-time watchdogs/eviction)
 //   PRIMER_FAULT_HOSTILE_AFTER  at the Nth wire frame, flip a payload bit
 //                             and reseal the CRC: the frame arrives
 //                             checksum-valid but structurally hostile, so
@@ -50,7 +48,7 @@
 namespace primer {
 
 // How an injected kill manifests: an in-process retryable throw (the
-// simulation the restart loops recover from), or genuine SIGKILL (nothing
+// simulation the restart loop recovers from), or genuine SIGKILL (nothing
 // recovers; only fsync'd durable state survives into the next process).
 enum class FaultKillMode { kThrow, kSigkill };
 
@@ -62,13 +60,12 @@ struct FaultSpec {
   FaultKillMode kill_mode = FaultKillMode::kThrow;
   std::uint64_t stall_after = 0;  // stall the Nth wire frame (0 = off)
   double stall_s = 30.0;          // stall duration (simulated seconds)
-  double stall_wall_s = 0.0;      // stall duration (real wall seconds)
   std::uint64_t hostile_after = 0;  // reseal-corrupt the Nth frame (0 = off)
 
   // Probabilistic per-frame faults (the corruption path).
   bool any_random() const { return truncate > 0 || bitflip > 0; }
 
-  // The one rule every restart loop applies before the next attempt: the
+  // The one rule the restart loop applies before the next attempt: the
   // deterministic triggers modeled a crash, hang or hostile frame of the
   // attempt that failed and must not fire again, and the random-fault seed
   // advances so seeded corruption lands on different wire frames instead
@@ -94,7 +91,6 @@ class FaultInjector {
     std::uint64_t frame_index = 0;  // 1-based wire frame counter
     bool kill = false;              // caller must abandon the process
     double stall_s = 0.0;           // extra delivery delay to charge
-    double stall_wall_s = 0.0;      // real wall seconds to burn in transmit
     bool hostile = false;           // mutate payload + reseal CRC
   };
   WireEvent on_wire_frame();

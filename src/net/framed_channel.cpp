@@ -1,14 +1,10 @@
 #include "net/framed_channel.h"
 
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <thread>
-
-#include "common/timing.h"
 
 namespace primer {
 
@@ -37,19 +33,6 @@ void FramedChannel::transmit(Party from, std::vector<std::uint8_t> frame) {
                        std::to_string(ev.frame_index));
     }
   }
-  if (ev.stall_wall_s > 0) {
-    // Burn real wall time in short slices, polling the deadline each slice
-    // so an external cancel (session eviction, wall watchdog) interrupts the
-    // stall instead of waiting it out.
-    Stopwatch sw;
-    const std::string what = describe(other(from)) +
-                             ": wall-stalled wire frame " +
-                             std::to_string(ev.frame_index);
-    while (sw.seconds() < ev.stall_wall_s) {
-      if (deadline_ != nullptr) deadline_->check(what);
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  }
   if (ev.hostile) {
     // Hostile-peer model: flip the high bit of the payload's leading count
     // field and reseal the CRC.  The frame parses cleanly — only the
@@ -62,8 +45,8 @@ void FramedChannel::transmit(Party from, std::vector<std::uint8_t> frame) {
   if (ev.kill) {
     if (injector_.spec().kill_mode == FaultKillMode::kSigkill) {
       // Real process death, not a simulation: SIGKILL cannot be caught, so
-      // nothing below this point — destructors, restart loops, the in-memory
-      // store — gets a chance to run.  Only what the durable store already
+      // nothing below this point — destructors, the restart loop, the
+      // in-memory store — gets a chance to run.  Only what the durable store already
       // fsync'd survives.  Deterministic because the wire-frame counter is.
       std::raise(SIGKILL);
     }

@@ -13,10 +13,10 @@
 // The transport never repairs a frame.  A missing, truncated, bit-flipped
 // or out-of-sequence frame throws a retryable ProtocolError, and the
 // session layer recovers: the restart loop (PrimerEngine::run_resilient,
-// PrimerServer) re-runs the attempt, the resume handshake agrees on the
-// last common checkpoint, and only the frames past it cross the wire
-// again.  A seeded FaultInjector (net/fault.h) can damage outgoing frames
-// to exercise exactly that path.
+// which PrimerServer also runs) re-runs the attempt, the resume handshake
+// agrees on the last common checkpoint, and only the frames past it cross
+// the wire again.  A seeded FaultInjector (net/fault.h) can damage
+// outgoing frames to exercise exactly that path.
 //
 // Both parties run in-process, so one FramedChannel instance carries both
 // directions; anything that shares the underlying Channel must share the

@@ -30,8 +30,6 @@
 // resource in the paper's WAN setting — is only paid for once.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -48,45 +46,11 @@
 
 namespace primer {
 
-// Liveness heartbeat a running session publishes for external observers:
-// the serving runtime evicts by its age and reports its checkpoint epoch.
-// The session thread beats it at step and checkpoint granularity; observer
-// threads read it concurrently, so its fields are atomics.
-class SessionProgress {
- public:
-  void beat() { last_beat_ns_.store(now_ns(), std::memory_order_release); }
-  void on_checkpoint(std::uint32_t epoch) {
-    epoch_.store(epoch, std::memory_order_relaxed);
-    beat();
-  }
-
-  // Last checkpoint epoch the session persisted (0 before the first).
-  std::uint32_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
-  // Wall seconds since the session last showed signs of life (never
-  // negative; a session that has not beaten yet reports time since
-  // construction).
-  double seconds_since_beat() const {
-    const std::int64_t last = last_beat_ns_.load(std::memory_order_acquire);
-    const std::int64_t d = now_ns() - last;
-    return d > 0 ? static_cast<double>(d) * 1e-9 : 0.0;
-  }
-
- private:
-  static std::int64_t now_ns() {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  }
-
-  std::atomic<std::uint32_t> epoch_{0};
-  std::atomic<std::int64_t> last_beat_ns_{now_ns()};
-};
-
 // Thrown by the runtime when a drain request catches a session at a phase
 // boundary: the checkpoint for `epoch` was persisted first, so a later
 // request from the same client resumes exactly there.  Deliberately not a
 // ProtocolError — drain is an orderly shutdown, not a wire fault, and the
-// retry loops must not treat it as retryable.
+// restart loop must not treat it as retryable.
 class SessionDrained : public std::runtime_error {
  public:
   SessionDrained(std::uint32_t epoch, const std::string& phase)
@@ -236,10 +200,10 @@ void drop_foreign_checkpoints(SessionStore& store, Party me,
 // Deterministic phase budget: elapsed time = simulated network seconds
 // accrued since the phase started plus wall-clock compute seconds.  The
 // simulated component makes injected stalls (PRIMER_FAULT_STALL_*) trip the
-// deadline reproducibly regardless of host speed; the wall component plus
-// an optional watchdog-armed CancelToken turns true hangs into the same
-// typed error path.  check() is polled at frame granularity by
-// FramedChannel and at step granularity by the protocol runtime.
+// deadline reproducibly regardless of host speed.  The same polls also
+// check an optional CancelToken (the server's forced drain fires it).
+// check() is polled at frame granularity by FramedChannel and at step
+// granularity by the protocol runtime.
 class SimDeadline {
  public:
   void configure(const Channel* ch, double budget_s,
@@ -266,7 +230,7 @@ class SimDeadline {
 
   bool enabled() const { return budget_s_ > 0 || cancel_ != nullptr; }
 
-  // Throws OperationCancelled (watchdog fired) or DeadlineExceeded (budget
+  // Throws OperationCancelled (token fired) or DeadlineExceeded (budget
   // overrun); `where` names the poll point for the error message.
   void check(const std::string& where) const {
     if (cancel_ != nullptr) cancel_->check(where);

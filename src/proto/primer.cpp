@@ -187,36 +187,35 @@ PrimerRunResult PrimerEngine::run(const std::vector<std::size_t>& tokens) {
   return run_session(tokens, SessionOptions::from_env());
 }
 
-PrimerRunResult PrimerEngine::run_with_options(
-    const std::vector<std::size_t>& tokens, const SessionOptions& options) {
-  return run_session(tokens, options);
-}
-
 PrimerRunResult PrimerEngine::run_resilient(
     const std::vector<std::size_t>& tokens, SessionStore& store,
     int max_restarts) {
   SessionOptions opts = SessionOptions::from_env();
   opts.store = &store;
+  return run_resilient(tokens, std::move(opts), max_restarts);
+}
+
+PrimerRunResult PrimerEngine::run_resilient(
+    const std::vector<std::size_t>& tokens, SessionOptions options,
+    int max_restarts) {
   int restarts = 0;
   std::uint64_t prior_bytes = 0;
-  auto note_retryable_failure = [&] {
-    if (last_partial_ != nullptr) prior_bytes += last_partial_->total_bytes;
-    opts.faults.prepare_restart();
-    ++restarts;
-  };
-  for (;;) {
-    try {
-      PrimerRunResult result = run_session(tokens, opts);
-      result.restarts = restarts;
-      result.prior_attempt_bytes = prior_bytes;
-      return result;
-    } catch (const ProtocolError& e) {
-      if (!e.retryable() || restarts >= max_restarts) throw;
-      note_retryable_failure();
-    } catch (const OperationCancelled&) {
-      if (restarts >= max_restarts) throw;
-      note_retryable_failure();
+  try {
+    for (;; ++restarts) {
+      try {
+        PrimerRunResult result = run_session(tokens, options);
+        result.restarts = restarts;
+        result.prior_attempt_bytes = prior_bytes;
+        return result;
+      } catch (const ProtocolError& e) {
+        if (!e.retryable() || restarts >= max_restarts) throw;
+      }
+      if (last_partial_ != nullptr) prior_bytes += last_partial_->total_bytes;
+      options.faults.prepare_restart();
     }
+  } catch (...) {
+    if (last_partial_ != nullptr) last_partial_->restarts = restarts;
+    throw;
   }
 }
 

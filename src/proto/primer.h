@@ -117,29 +117,27 @@ class PrimerEngine {
   PrimerRunResult run(const std::vector<std::size_t>& tokens);
 
   // One private inference with session resilience: checkpoints are persisted
-  // into `store` at phase boundaries, and on a retryable transport failure
-  // (damaged or missing frame, peer kill, deadline, cancellation) the
+  // into `options.store` at phase boundaries, and on a retryable
+  // ProtocolError (damaged or missing frame, peer kill, deadline) the
   // protocol is re-attempted — resuming from the last common checkpoint via
   // the kSessionHello/kSessionResume handshake, with the checkpoint-covered
-  // frame prefix replayed at zero wire cost.  Fatal errors and attempts
-  // beyond `max_restarts` rethrow; each restart applies
+  // frame prefix replayed at zero wire cost.  Each restart applies
   // FaultSpec::prepare_restart (one-shot triggers fire only on the first
   // attempt, random faults re-seed).  The result is bit-identical to an
-  // unfaulted run().
+  // unfaulted run().  Everything else ends the run at once: fatal errors,
+  // a retryable error past `max_restarts` restarts, OperationCancelled
+  // (`options.cancel` fired) and SessionDrained (`options.drain` set).
+  // This is the only restart loop; PrimerServer runs every session
+  // through it.
+  PrimerRunResult run_resilient(const std::vector<std::size_t>& tokens,
+                                SessionOptions options, int max_restarts = 5);
+  // The same over SessionOptions::from_env() with `store` attached.
   PrimerRunResult run_resilient(const std::vector<std::size_t>& tokens,
                                 SessionStore& store, int max_restarts = 5);
 
-  // One protocol attempt under caller-supplied session options (store,
-  // faults, deadline, cancel token, progress heartbeat, drain flag).  No
-  // internal retry loop: every failure — including retryable transport
-  // errors, OperationCancelled and SessionDrained — propagates to the
-  // caller, which owns the attempt/restart policy.  The serving runtime
-  // (src/serving/) builds its per-session loop on this.
-  PrimerRunResult run_with_options(const std::vector<std::size_t>& tokens,
-                                   const SessionOptions& options);
-
   // Telemetry from the most recent failed attempt (costs accrued before the
-  // fault, min noise margin observed); null until a run throws.
+  // fault, min noise margin observed, and — when run_resilient gave up —
+  // the restarts it had consumed); null until a run throws.
   const PrimerRunResult* last_partial() const { return last_partial_.get(); }
 
   const BertWeightsI& weights() const { return w_; }

@@ -98,7 +98,6 @@ void ProtocolContext::step(const std::string& phase,
   if (deadline.enabled()) {
     deadline.check("step " + phase + "/" + step_name);
   }
-  if (session.progress != nullptr) session.progress->beat();
   const auto net_before = channel.snapshot();
   const HeOpCounters he_before = eval.counters();
   dec.take_min_margin();  // reset so the step sees only its own margins
@@ -207,7 +206,6 @@ void ProtocolContext::checkpoint(const std::string& completed) {
     session.store->save(Party::kClient, cp);
     session.store->save(Party::kServer, cp);
     framed.set_epoch(epoch_);
-    if (session.progress != nullptr) session.progress->on_checkpoint(epoch_);
     // Drain catches the run at the boundary *after* the snapshot is
     // persisted: the next request for this client resumes from here.
     if (session.drain != nullptr &&

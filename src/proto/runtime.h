@@ -38,11 +38,9 @@ struct SessionOptions {
   // Per-phase budget in simulated-network + wall seconds (0 disables);
   // checked at frame and step granularity.  PRIMER_PHASE_DEADLINE_S.
   double phase_deadline_s = 0.0;
-  // Optional watchdog-armed token folded into the same deadline checks.
+  // Optional cancel token folded into the same deadline checks; the
+  // server's drain fires it at the drain deadline.
   const CancelToken* cancel = nullptr;
-  // Optional liveness heartbeat beaten at step/checkpoint granularity; the
-  // serving runtime's eviction policy reads it from observer threads.
-  SessionProgress* progress = nullptr;
   // Optional drain flag: when it flips true, the run stops at the *next*
   // checkpoint boundary — the checkpoint is persisted first, then
   // SessionDrained is thrown, so a later request resumes exactly there.

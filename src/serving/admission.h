@@ -1,11 +1,9 @@
 // Admission-control vocabulary for the serving runtime.
 //
-// A saturated server must degrade predictably: either the newest request is
-// shed with a typed, retryable rejection the client can back off on, or —
-// when the operator prefers liveness of fresh traffic over stuck tenants —
-// the longest-stalled in-flight session is evicted to make room.  Both
-// decisions are visible in ServerStats, and a shed request costs the server
-// O(1) work.
+// A saturated server must degrade predictably: the newest request is shed
+// with a typed, retryable rejection the client can back off on, running
+// sessions are never disturbed, every shed is visible in ServerStats, and
+// a shed request costs the server O(1) work.
 #pragma once
 
 #include <cstddef>
@@ -14,17 +12,6 @@
 #include "net/frame.h"
 
 namespace primer {
-
-// What the server does when admission limits are hit.
-enum class LoadShedPolicy {
-  // Refuse the incoming request with ServerOverloaded; running sessions are
-  // never disturbed.  The default: strict isolation, clients retry later.
-  kRejectNewest,
-  // If some running session has shown no progress beat for longer than the
-  // stall grace, cancel it (outcome kEvicted) and admit the newcomer; with
-  // no stalled session to reclaim, fall back to rejecting the newcomer.
-  kEvictLongestStalled,
-};
 
 // Typed, retryable admission rejection.  Retryable by design: overload is
 // transient, and a client that backs off and resubmits may well be admitted

@@ -13,7 +13,6 @@ const char* session_status_name(SessionStatus s) {
     case SessionStatus::kCompleted: return "completed";
     case SessionStatus::kShed: return "shed";
     case SessionStatus::kRejected: return "rejected";
-    case SessionStatus::kEvicted: return "evicted";
     case SessionStatus::kDrained: return "drained";
     case SessionStatus::kFailed: return "failed";
     case SessionStatus::kPoisoned: return "poisoned";
@@ -74,25 +73,6 @@ std::uint64_t PrimerServer::request_fingerprint(
   return (static_cast<std::uint64_t>(crc) << 1) | 1u;
 }
 
-bool PrimerServer::evict_longest_stalled_locked() {
-  std::shared_ptr<SessionTicket> victim;
-  double worst = cfg_.stall_grace_s;
-  for (const auto& t : running_) {
-    if (t->evicted_.load(std::memory_order_relaxed)) continue;
-    const double age = t->progress_.seconds_since_beat();
-    if (age > worst) {
-      worst = age;
-      victim = t;
-    }
-  }
-  if (victim == nullptr) return false;
-  victim->evicted_.store(true, std::memory_order_seq_cst);
-  victim->cancel_.cancel("evicted: no progress beat for " +
-                         std::to_string(worst) + "s (stall grace " +
-                         std::to_string(cfg_.stall_grace_s) + "s)");
-  return true;
-}
-
 std::shared_ptr<SessionTicket> PrimerServer::submit(InferenceRequest req) {
   std::string why;
   auto t = try_submit(std::move(req), &why);
@@ -128,13 +108,7 @@ std::shared_ptr<SessionTicket> PrimerServer::try_submit(InferenceRequest req,
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (stop_) return shed("server stopped");
-    if (queue_.size() >= cfg_.max_queue) {
-      // Saturated.  Either reclaim a stalled session's slot or shed.
-      if (cfg_.policy != LoadShedPolicy::kEvictLongestStalled ||
-          !evict_longest_stalled_locked()) {
-        return shed("admission queue full");
-      }
-    }
+    if (queue_.size() >= cfg_.max_queue) return shed("admission queue full");
     queue_.push_back(t);
   }
   {
@@ -172,8 +146,6 @@ void PrimerServer::serve(const std::shared_ptr<SessionTicket>& t) {
   SessionOutcome out;
   out.client_id = t->req_.client_id;
   out.wait_s = t->queued_.seconds();
-  t->started_.store(true, std::memory_order_release);
-  t->progress_.beat();
   Stopwatch service;
 
   // Per-client session slot: quarantined and duplicate-in-flight clients
@@ -207,74 +179,44 @@ void PrimerServer::serve(const std::shared_ptr<SessionTicket>& t) {
   opts.faults = t->req_.faults;
   opts.phase_deadline_s = cfg_.phase_deadline_s;
   opts.cancel = &t->cancel_;
-  opts.progress = &t->progress_;
   opts.drain = &drain_flag_;
-  const std::string who =
-      "client " + std::to_string(t->req_.client_id) + " session";
-
-  int restarts = 0;
-  for (;;) {
-    if (t->evicted_.load(std::memory_order_seq_cst)) {
-      out.status = SessionStatus::kEvicted;
-      out.error = t->cancel_.reason();
-      break;
+  try {
+    out.result = engine.run_resilient(t->req_.tokens, std::move(opts),
+                                      cfg_.max_restarts);
+    out.status = SessionStatus::kCompleted;
+    out.restarts = out.result.restarts;
+    out.checkpoint_epoch = out.result.checkpoints;
+  } catch (const SessionDrained& e) {
+    out.status = SessionStatus::kDrained;
+    out.checkpoint_epoch = e.epoch();
+    out.error = e.what();
+  } catch (const OperationCancelled& e) {
+    // Only drain() cancels a session: it was force-cancelled at the drain
+    // deadline before reaching a checkpoint boundary.
+    out.status = SessionStatus::kDrained;
+    out.error = e.what();
+  } catch (const ProtocolError& e) {
+    out.error_kind = e.kind();
+    out.error = e.what();
+    if (e.retryable()) {
+      out.status = SessionStatus::kFailed;  // restart budget spent
+    } else {
+      // Structurally hostile traffic or forked checkpoint history: no
+      // retry can fix this client.  Poison it — cached keys included.
+      out.status = SessionStatus::kPoisoned;
+      sessions_.quarantine(t->req_.client_id, e.what());
     }
-    try {
-      DeadlineWatchdog watchdog(t->cancel_, cfg_.session_wall_budget_s, who);
-      PrimerRunResult r = engine.run_with_options(t->req_.tokens, opts);
-      r.restarts = restarts;
-      out.status = SessionStatus::kCompleted;
-      out.result = std::move(r);
-      break;
-    } catch (const SessionDrained& e) {
-      out.status = SessionStatus::kDrained;
-      out.checkpoint_epoch = e.epoch();
-      out.error = e.what();
-      break;
-    } catch (const ProtocolError& e) {
-      out.error_kind = e.kind();
-      if (!e.retryable()) {
-        // Structurally hostile traffic or forked checkpoint history: no
-        // retry can fix this client.  Poison it — cached keys included.
-        out.status = SessionStatus::kPoisoned;
-        out.error = e.what();
-        sessions_.quarantine(t->req_.client_id, e.what());
-        break;
-      }
-      if (restarts >= cfg_.max_restarts) {
-        out.status = SessionStatus::kFailed;
-        out.error = e.what();
-        break;
-      }
-      ++restarts;
-    } catch (const OperationCancelled& e) {
-      if (t->evicted_.load(std::memory_order_seq_cst)) {
-        out.status = SessionStatus::kEvicted;
-        out.error = e.what();
-        break;
-      }
-      if (draining()) {
-        // Force-cancelled at the drain deadline (no boundary reached).
-        out.status = SessionStatus::kDrained;
-        out.error = e.what();
-        break;
-      }
-      if (restarts >= cfg_.max_restarts) {
-        out.status = SessionStatus::kFailed;
-        out.error = e.what();
-        break;
-      }
-      ++restarts;
-      t->cancel_.reset();
-    } catch (const std::exception& e) {
-      out.status = SessionStatus::kFailed;
-      out.error = e.what();
-      break;
-    }
-    opts.faults.prepare_restart();
+  } catch (const std::exception& e) {
+    out.status = SessionStatus::kFailed;
+    out.error = e.what();
   }
-  if (out.checkpoint_epoch == 0) out.checkpoint_epoch = t->progress_.epoch();
-  out.restarts = restarts;
+  // A session that did not complete reports what its last attempt got to:
+  // the restarts consumed and the last epoch it persisted (resume point).
+  const PrimerRunResult* partial = engine.last_partial();
+  if (out.status != SessionStatus::kCompleted && partial != nullptr) {
+    out.restarts = partial->restarts;
+    if (out.checkpoint_epoch == 0) out.checkpoint_epoch = partial->checkpoints;
+  }
   sessions_.release(t->req_.client_id);
   out.service_s = service.seconds();
   finish(t, std::move(out));
@@ -291,7 +233,6 @@ void PrimerServer::finish(const std::shared_ptr<SessionTicket>& t,
         break;
       case SessionStatus::kShed: ++counters_.shed; break;
       case SessionStatus::kRejected: ++counters_.rejected; break;
-      case SessionStatus::kEvicted: ++counters_.evicted; break;
       case SessionStatus::kDrained: ++counters_.drained; break;
       case SessionStatus::kFailed: ++counters_.failed; break;
       case SessionStatus::kPoisoned: ++counters_.poisoned; break;

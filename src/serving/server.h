@@ -3,24 +3,25 @@
 //
 // A fixed worker pool serves a bounded admission queue of client inference
 // requests.  Each admitted request becomes a *session* with its own cancel
-// token, progress heartbeat, checkpoint store (cached per client by the
-// SessionManager) and typed outcome — so one tenant's hostile frames,
-// deadline trips or injected kills can only ever fail that tenant:
+// token, checkpoint store (cached per client by the SessionManager) and
+// typed outcome — so one tenant's hostile frames, deadline trips or
+// injected kills can only ever fail that tenant:
 //
 //   * Admission control: queue depth is capped; a saturated server sheds
-//     with a typed retryable ServerOverloaded (policy kRejectNewest) or
-//     evicts the longest-stalled running session to admit the newcomer
-//     (policy kEvictLongestStalled).  Never an unbounded queue.
-//   * Fault containment: retryable transport faults restart the session
-//     (resuming from its last checkpoint, injected triggers cleared) up to
-//     max_restarts; fatal errors poison the session, quarantine the client
-//     and invalidate its cached key material; cancellation is scoped to the
-//     session's thread (common/parallel.h thread-local token).
+//     the newcomer with a typed retryable ServerOverloaded.  Never an
+//     unbounded queue.
+//   * Fault containment: every session runs through
+//     PrimerEngine::run_resilient, so retryable transport faults restart
+//     it (resuming from its last checkpoint, injected triggers cleared) up
+//     to max_restarts; fatal errors poison the session, quarantine the
+//     client and invalidate its cached key material.
 //   * Graceful drain: stop admitting, shed the queue, let in-flight
 //     sessions persist a checkpoint at their next phase boundary
-//     (SessionDrained), force-cancel stragglers at the drain deadline.
-//   * Observability: ServerStats snapshots (accepted/shed/evicted/...,
-//     queue depth, p50/p99 latency) plus per-session SessionProgress.
+//     (SessionDrained), force-cancel stragglers at the drain deadline
+//     (the session's cancel token, scoped to its thread through the
+//     common/parallel.h thread-local token).
+//   * Observability: ServerStats snapshots (accepted/shed/completed/...,
+//     queue depth, p50/p99 latency).
 //
 // Worker threads dispatch into the global parallel executor one at a time
 // (dispatches serialize on the executor lock), so intra-session parallelism
@@ -59,15 +60,8 @@ struct ServerConfig {
   // Cap on *queued* (admitted, not yet running) sessions.  Total load is
   // therefore bounded by max_queue + workers.
   std::size_t max_queue = 16;
-  LoadShedPolicy policy = LoadShedPolicy::kRejectNewest;
-  // A running session counts as stalled once its progress heartbeat is
-  // older than this (wall seconds); only stalled sessions are evictable.
-  double stall_grace_s = 5.0;
   // Per-phase simulated+wall budget forwarded to every session (0 = off).
   double phase_deadline_s = 0.0;
-  // Per-attempt wall-clock watchdog (0 = off): a session attempt that
-  // hangs past this is cancelled and retried/failed like any other fault.
-  double session_wall_budget_s = 0.0;
   int max_restarts = 3;
   double drain_deadline_s = 30.0;
   // Root directory for durable per-client checkpoint stores (empty = keep
@@ -91,8 +85,7 @@ enum class SessionStatus {
   kCompleted,  // logits produced, bit-identical to a standalone run
   kShed,       // never ran: admission refused (overload or drain)
   kRejected,   // never ran: client quarantined or already in flight
-  kEvicted,    // cancelled by the load-shedding policy while stalled
-  kDrained,    // stopped at a checkpoint boundary by a drain request
+  kDrained,    // stopped by a drain request (at a boundary, or forced)
   kFailed,     // retryable faults exhausted the restart budget
   kPoisoned,   // fatal protocol error; client quarantined
 };
@@ -113,13 +106,12 @@ struct SessionOutcome {
 };
 
 // Handle to one admitted session.  The submitting thread blocks on wait();
-// observer threads may poll progress() / done() concurrently.
+// observer threads may poll done() concurrently.
 class SessionTicket {
  public:
   // Blocks until the session resolves; returns its typed outcome.
   SessionOutcome wait() const;
   bool done() const;
-  const SessionProgress& progress() const { return progress_; }
   std::uint64_t client_id() const { return req_.client_id; }
 
  private:
@@ -127,10 +119,7 @@ class SessionTicket {
   explicit SessionTicket(InferenceRequest req) : req_(std::move(req)) {}
 
   InferenceRequest req_;
-  CancelToken cancel_;
-  SessionProgress progress_;
-  std::atomic<bool> evicted_{false};
-  std::atomic<bool> started_{false};
+  CancelToken cancel_;  // fired only by drain() at its deadline
   Stopwatch queued_;  // measures admission-queue wait
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
@@ -143,7 +132,6 @@ struct ServerStats {
   std::uint64_t shed = 0;       // refused with ServerOverloaded
   std::uint64_t completed = 0;
   std::uint64_t rejected = 0;   // quarantined / duplicate in-flight client
-  std::uint64_t evicted = 0;
   std::uint64_t drained = 0;
   std::uint64_t failed = 0;
   std::uint64_t poisoned = 0;
@@ -201,9 +189,6 @@ class PrimerServer {
   // Fingerprint of the request identity the per-client checkpoint cache is
   // keyed by: model (and its seed/variant) + token sequence.
   std::uint64_t request_fingerprint(const InferenceRequest& req) const;
-  // Evicts the longest-stalled running session (beat age > stall_grace_s).
-  // Returns true if one was cancelled.  Caller holds mu_.
-  bool evict_longest_stalled_locked();
 
   std::vector<ModelSpec> models_;
   // One circuit set per hosted model, shared by all of its sessions.

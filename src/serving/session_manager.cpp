@@ -164,14 +164,6 @@ void SessionManager::quarantine(std::uint64_t client_id,
   persist_fingerprint(client_id, 0);
 }
 
-void SessionManager::unquarantine(std::uint64_t client_id) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = clients_.find(client_id);
-  if (it == clients_.end()) return;
-  it->second->quarantined = false;
-  it->second->quarantine_reason.clear();
-}
-
 bool SessionManager::is_quarantined(std::uint64_t client_id) const {
   std::lock_guard<std::mutex> lk(mu_);
   auto it = clients_.find(client_id);

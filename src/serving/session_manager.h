@@ -32,7 +32,7 @@
 //     kResumeDiverged;
 //   * a client whose session died on a *fatal* protocol error is
 //     quarantined: its cached keys and checkpoints are dropped (they are
-//     untrustworthy) and later requests are refused until released.
+//     untrustworthy) and every later request is refused.
 #pragma once
 
 #include <cstdint>
@@ -77,10 +77,9 @@ class SessionManager {
   void release(std::uint64_t client_id);
 
   // Poisons the client: clears its cached key material + checkpoints and
-  // refuses future acquires until unquarantine().  Called by the server
-  // when a session dies on a fatal (non-retryable) protocol error.
+  // refuses every later acquire.  Called by the server when a session dies
+  // on a fatal (non-retryable) protocol error.
   void quarantine(std::uint64_t client_id, const std::string& reason);
-  void unquarantine(std::uint64_t client_id);
   bool is_quarantined(std::uint64_t client_id) const;
 
   struct Stats {

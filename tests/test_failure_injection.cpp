@@ -707,6 +707,28 @@ TEST(ResumeRecovery, CorruptionPastRestartBudgetIsTypedRetryable) {
   } catch (const ProtocolError& e) {
     EXPECT_TRUE(e.retryable()) << e.what();
   }
+  // The failure path records the restarts the loop consumed.
+  ASSERT_NE(engine.last_partial(), nullptr);
+  EXPECT_EQ(engine.last_partial()->restarts, 2);
+}
+
+// Cancellation is a local decision, not a wire fault: the restart loop
+// ends the run at the first OperationCancelled instead of spending its
+// budget on attempts the same token would cancel again.
+TEST(ResumeRecovery, CancelledSessionIsNotRestarted) {
+  Rng wrng(2025);
+  const auto weights = quantize(BertWeightsD::random(bert_nano(), wrng));
+  PrimerEngine engine(weights, PrimerVariant::kF);
+  SessionStore store;
+  CancelToken cancel;
+  cancel.cancel("cancelled before the first attempt");
+  SessionOptions opts;
+  opts.store = &store;
+  opts.cancel = &cancel;
+  EXPECT_THROW((void)engine.run_resilient({3, 17, 9, 28}, opts, 5),
+               OperationCancelled);
+  ASSERT_NE(engine.last_partial(), nullptr);
+  EXPECT_EQ(engine.last_partial()->restarts, 0);
 }
 
 // Seed-driven soak cell: tools/corruption_soak.py runs this test across N

@@ -272,7 +272,6 @@ TEST_F(HeTest, OpCountersTrack) {
   eval_->add_inplace(a, b);
   eval_->multiply_plain_inplace(a, pt);
   eval_->rotate_rows_inplace(a, 1, *gk_);
-  EXPECT_EQ(eval_->counters().adds, 1u);
   EXPECT_EQ(eval_->counters().plain_mults, 1u);
   EXPECT_EQ(eval_->counters().rotations, 1u);
 }

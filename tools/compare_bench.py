@@ -9,9 +9,13 @@ Both inputs are files of raw benchmark output; any line starting with
 (bench, label, kernel, threads); a head benchmark whose exact key is absent
 from base falls back to the base entry with kernel="" (output from commits
 that predate the --kernel sweep), so the gate keeps working across the
-schema transition.  A benchmark regresses when its head ops_per_s drops
-more than --max-regress below base.  Benchmarks present on only one side
-are reported but never fail the check (the set changes as the suite grows).
+schema transition.  A file may hold several runs appended one after the
+other: every record is kept, and each side of a key is its median
+ops_per_s (the "reps" column prints how many records each side had; with
+one record per key this is a plain single-run comparison).  A benchmark
+regresses when its head median drops more than --max-regress below the
+base median.  Benchmarks present on only one side are reported but never
+fail the check (the set changes as the suite grows).
 A MISSING base file, one with no parseable JSON lines, or a base with no
 benchmarks under the --only prefix is a warning, not a failure (exit 0):
 first-run baselines — a BENCH_*.json snapshot or bench family that does
@@ -27,10 +31,12 @@ trajectory); everything else is reported as informational.
 
 import argparse
 import json
+import statistics
 import sys
 
 
 def load(path):
+    """Returns {key: [record, ...]} in file order, or None if unreadable."""
     out = {}
     try:
         f = open(path)
@@ -54,8 +60,12 @@ def load(path):
                 rec.get("kernel", ""),
                 rec.get("threads", 0),
             )
-            out[key] = rec
+            out.setdefault(key, []).append(rec)
     return out
+
+
+def median_ops(recs):
+    return statistics.median(r["ops_per_s"] for r in recs)
 
 
 def main():
@@ -90,7 +100,7 @@ def main():
     matched = 0
     consumed_base = set()
     print(f"{'bench':<24} {'label':<12} {'kernel':<8} {'thr':>3} "
-          f"{'base ops/s':>12} {'head ops/s':>12} {'ratio':>7}")
+          f"{'base ops/s':>12} {'head ops/s':>12} {'ratio':>7} {'reps':>5}")
     for key in sorted(head):
         name, label, kernel, threads = key
         base_key = key
@@ -98,24 +108,25 @@ def main():
             base_key = (name, label, "", threads)  # pre-kernel-sweep base
         if base_key not in base:
             print(f"{name:<24} {label:<12} {kernel:<8} {threads:>3} "
-                  f"{'(new)':>12} {head[key]['ops_per_s']:>12.1f}")
+                  f"{'(new)':>12} {median_ops(head[key]):>12.1f}")
             continue
         matched += 1
         consumed_base.add(base_key)
-        b = base[base_key]["ops_per_s"]
-        h = head[key]["ops_per_s"]
+        b = median_ops(base[base_key])
+        h = median_ops(head[key])
         ratio = h / b if b > 0 else float("inf")
+        reps = f"{len(base[base_key])}/{len(head[key])}"
         marker = ""
         gated = args.only is None or name.startswith(args.only)
         if gated and ratio < 1.0 - args.max_regress:
             marker = "  << REGRESSION"
             failures.append((key, ratio))
         print(f"{name:<24} {label:<12} {kernel:<8} {threads:>3} "
-              f"{b:>12.1f} {h:>12.1f} {ratio:>6.2f}x{marker}")
+              f"{b:>12.1f} {h:>12.1f} {ratio:>6.2f}x {reps:>5}{marker}")
     for key in sorted(set(base) - consumed_base):
         name, label, kernel, threads = key
         print(f"{name:<24} {label:<12} {kernel:<8} {threads:>3} "
-              f"{base[key]['ops_per_s']:>12.1f} {'(gone)':>12}")
+              f"{median_ops(base[key]):>12.1f} {'(gone)':>12}")
 
     if matched == 0:
         # Distinguish "the base predates this bench suite" (first-run
