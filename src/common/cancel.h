@@ -1,12 +1,11 @@
 // Cooperative cancellation.
 //
 // The protocol engine is a long straight-line computation.  A CancelToken
-// is a flag that long-running loops poll at natural yield points —
-// transport receive loops, protocol step boundaries, thread-pool chunk
-// boundaries — and that another thread fires; the serving runtime's drain
-// fires it at its deadline.  Cancellation is cooperative: code that never
-// reaches a poll point (e.g. a wedged syscall) cannot be interrupted, but
-// every protocol phase polls at frame granularity.
+// is a flag another thread fires (the serving runtime's drain fires it at
+// its deadline) and the protocol polls at every wire frame and every
+// protocol step (SimDeadline, net/session.h).  Cancellation is
+// cooperative: work between two polls, such as a parallel loop inside one
+// step or a wedged syscall, runs to its end first.
 #pragma once
 
 #include <atomic>
@@ -50,12 +49,6 @@ class CancelToken {
   void check(const std::string& where) const {
     if (!cancelled()) return;
     throw OperationCancelled(where + ": " + reason());
-  }
-
-  void reset() {
-    std::lock_guard<std::mutex> lk(mu_);
-    reason_.clear();
-    cancelled_.store(false, std::memory_order_release);
   }
 
  private:

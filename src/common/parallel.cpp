@@ -1,12 +1,11 @@
 #include "common/parallel.h"
 
-#include "common/cancel.h"
+#include "common/env.h"
 
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -22,11 +21,6 @@ namespace {
 // own loop.  Nested parallel_for calls check this and run inline.
 thread_local bool tl_in_parallel = false;
 
-// Cancellation token polled at chunk boundaries (null = no cancellation).
-// Thread-local to the dispatching thread: each serving worker scopes its
-// own session's token, so one session's cancel never aborts another's loop.
-thread_local const CancelToken* tl_cancel = nullptr;
-
 // One dispatched loop: workers claim [begin, end) chunks via an atomic
 // cursor, so the partition adapts to uneven chunk costs.
 struct Task {
@@ -34,9 +28,6 @@ struct Task {
   std::size_t begin = 0;
   std::size_t end = 0;
   std::size_t chunk = 1;
-  // The dispatching thread's cancel token, captured at dispatch so pool
-  // workers poll the *session that owns this loop*, not their own slot.
-  const CancelToken* cancel = nullptr;
   std::atomic<std::size_t> next{0};
   std::size_t in_flight = 0;  // workers inside run_task (guarded by pool mutex)
   std::exception_ptr error;
@@ -72,7 +63,6 @@ class ThreadPool {
     task.begin = begin;
     task.end = end;
     task.chunk = chunk;
-    task.cancel = tl_cancel;  // run() executes on the dispatching thread
     task.next.store(begin, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -93,25 +83,18 @@ class ThreadPool {
   static void run_task(Task& task) {
     const bool was_in_parallel = tl_in_parallel;
     tl_in_parallel = true;
-    // Adopt the dispatcher's token for the duration so nested inline
-    // regions inside chunk bodies poll the owning session's cancellation.
-    const CancelToken* prev_cancel = tl_cancel;
-    tl_cancel = task.cancel;
-    const CancelToken* cancel = task.cancel;
     for (;;) {
       const std::size_t lo =
           task.next.fetch_add(task.chunk, std::memory_order_relaxed);
       if (lo >= task.end) break;
       const std::size_t hi = std::min(lo + task.chunk, task.end);
       try {
-        if (cancel != nullptr) cancel->check("parallel_for chunk");
         (*task.body)(lo, hi);
       } catch (...) {
         std::lock_guard<std::mutex> lk(task.error_mu);
         if (!task.error) task.error = std::current_exception();
       }
     }
-    tl_cancel = prev_cancel;
     tl_in_parallel = was_in_parallel;
   }
 
@@ -153,20 +136,20 @@ struct Executor {
   std::unique_ptr<ThreadPool> pool;  // workers = threads - 1; null if serial
 };
 
+// PRIMER_THREADS clamps here: a typo such as 40000 must not start tens of
+// thousands of pool threads.
+constexpr std::uint64_t kMaxEnvThreads = 256;
+
 std::size_t env_default_threads() {
-  const char* env = std::getenv("PRIMER_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  char* endp = nullptr;
-  const long v = std::strtol(env, &endp, 10);
-  if (endp == env || v < 0) return 1;  // unparsable / negative: stay serial
+  const std::uint64_t v = env_u64("PRIMER_THREADS", 1, 0, kMaxEnvThreads);
   if (v == 0) return hardware_threads();  // 0: match set_num_threads(0)
   return static_cast<std::size_t>(v);
 }
 
 Executor& executor() {
   static Executor* exec = [] {
-    auto* e = new Executor;
     const std::size_t t = env_default_threads();
+    auto* e = new Executor;
     e->threads.store(t, std::memory_order_relaxed);
     if (t > 1) e->pool = std::make_unique<ThreadPool>(t - 1);
     return e;
@@ -174,18 +157,11 @@ Executor& executor() {
   return *exec;
 }
 
-void serial_run(std::size_t begin, std::size_t end,
-                const std::function<void(std::size_t, std::size_t)>& body) {
-  if (begin >= end) return;
-  if (tl_cancel != nullptr) tl_cancel->check("parallel_for serial region");
-  body(begin, end);
-}
-
 void dispatch(std::size_t begin, std::size_t end, std::size_t grains,
               const std::function<void(std::size_t, std::size_t)>& body) {
   if (begin >= end) return;
   if (tl_in_parallel) {  // nested region: run inline, never deadlock
-    serial_run(begin, end, body);
+    body(begin, end);
     return;
   }
   Executor& exec = executor();
@@ -193,7 +169,7 @@ void dispatch(std::size_t begin, std::size_t end, std::size_t grains,
   const std::size_t threads = exec.threads.load(std::memory_order_relaxed);
   if (threads <= 1 || end - begin <= 1 || exec.pool == nullptr) {
     lk.unlock();
-    serial_run(begin, end, body);
+    body(begin, end);
     return;
   }
   // Oversubscribe chunks a little so an uneven iteration cannot leave the
@@ -205,10 +181,6 @@ void dispatch(std::size_t begin, std::size_t end, std::size_t grains,
 }
 
 }  // namespace
-
-void set_parallel_cancel_token(const CancelToken* token) {
-  tl_cancel = token;
-}
 
 std::size_t hardware_threads() {
   const unsigned hc = std::thread::hardware_concurrency();

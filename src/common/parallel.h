@@ -9,10 +9,12 @@
 // share mutable state, and all Rng sampling stays on the calling thread.
 //
 // Configuration: the pool size defaults to the PRIMER_THREADS environment
-// variable (unset, empty, or unparsable -> 1, i.e. serial; 0 -> hardware
-// concurrency, matching set_num_threads(0)) and can be changed at runtime
-// with set_num_threads().  With one thread every entry point degenerates to
-// a plain loop on the calling thread — no pool, no locks.
+// variable (unset or empty -> 1, i.e. serial; 0 -> hardware concurrency,
+// matching set_num_threads(0); values above 256 clamp to 256) and can be
+// changed at runtime with set_num_threads().  A malformed value ("abc",
+// "4x", "-1") makes the first use of the executor throw
+// std::invalid_argument (common/env.h).  With one thread every entry point
+// degenerates to a plain loop on the calling thread — no pool, no locks.
 //
 // Nested calls (a loop body that itself reaches a parallel_for, e.g. a
 // packed-matmul worker calling Evaluator::rotate which parallelizes over
@@ -25,18 +27,6 @@
 #include <functional>
 
 namespace primer {
-
-class CancelToken;
-
-// Installs (or clears, with nullptr) a cancellation token the executor
-// polls at chunk boundaries: when the token fires, workers stop claiming
-// chunks and OperationCancelled is rethrown on the dispatching thread.
-// Cancellation is cooperative — a chunk body already running completes.
-// The slot is thread-local to the *dispatching* thread: each serving
-// worker installs its own session's token, and a dispatched loop carries
-// the dispatcher's token to the pool workers it borrows — concurrent
-// sessions never see each other's cancellations.
-void set_parallel_cancel_token(const CancelToken* token);
 
 // Number of threads the global executor is configured to use (>= 1).
 std::size_t num_threads();

@@ -8,7 +8,8 @@
 // phase dominates), so this module transfers the chosen labels directly
 // in-process while charging the channel the exact traffic IKNP would send:
 //
-//   one-time setup : 128 base OTs x (2 group elements + 1 seed) ~ 128*96 B
+//   one-time setup : 128 base OTs x (2 group elements + 1 seed) ~ 128*96 B,
+//                    once per protocol session (its GC stages share one OT)
 //   per OT         : receiver column 16 B, sender two masked labels 32 B
 //   rounds         : 2 per batch (receiver -> sender -> receiver)
 //
@@ -30,7 +31,7 @@ class SimulatedOt {
   // second wrapper over the same Channel would fork the sequence spaces.
   explicit SimulatedOt(FramedChannel& ch) : channel_(ch) {}
 
-  // One-time IKNP setup traffic (call once per session).  Messages are
+  // One-time IKNP setup traffic; later calls do nothing.  Messages are
   // immediately drained by the in-process peer; only the accounting and
   // the size check remain.
   void setup() {

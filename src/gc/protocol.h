@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -33,9 +34,16 @@ class GcSession {
  public:
   // Takes the session's FramedChannel (not the raw Channel): all parties on
   // one wire must share a single framing layer or the per-direction
-  // sequence numbers desynchronize.
+  // sequence numbers desynchronize.  A standalone session owns its OT.
   GcSession(FramedChannel& channel, Rng& garbler_rng)
-      : channel_(channel), rng_(garbler_rng), ot_(channel) {}
+      : channel_(channel), rng_(garbler_rng), own_ot_(std::in_place, channel),
+        ot_(*own_ot_) {}
+  // Runs its input transfers over `ot`, which every GC stage of one
+  // protocol session shares, so the one-time OT setup is paid once.
+  GcSession(FramedChannel& channel, Rng& garbler_rng, SimulatedOt& ot)
+      : channel_(channel), rng_(garbler_rng), ot_(ot) {}
+  GcSession(const GcSession&) = delete;
+  GcSession& operator=(const GcSession&) = delete;
 
   // Offline phase: garble and ship the tables (and, if the evaluator may
   // learn outputs, the decode bits).  Tables travel as kGcTableChunk frames,
@@ -74,7 +82,8 @@ class GcSession {
  private:
   FramedChannel& channel_;
   Rng& rng_;
-  SimulatedOt ot_;
+  std::optional<SimulatedOt> own_ot_;  // standalone sessions only
+  SimulatedOt& ot_;
   std::size_t stream_chunk_rows_ = kDefaultStreamChunkRows;
   std::shared_ptr<const Circuit> circuit_;
   GarbledCircuit gc_;

@@ -67,12 +67,12 @@ void FhgsProduct::offline(const std::string& step_name, const MatI& ra,
   });
 }
 
-LinearShares FhgsProduct::online(const std::string& step_name, const MatI& da,
-                                 const MatI& db) {
-  LinearShares out;
+SharePair FhgsProduct::online(const std::string& step_name, const SharePair& a,
+                              const SharePair& b) {
+  SharePair out;
   pc_.step("online", step_name, [&] {
-    const MatI da_red = pc_.ring.reduce(da);
-    const MatI db_red = pc_.ring.reduce(db);
+    const MatI da_red = pc_.ring.reduce(a.server);
+    const MatI db_red = pc_.ring.reduce(b.server);
 
     // Server: tmp1 = Da*Db (plaintext).
     const MatI tmp1 = pc_.ring.mul(da_red, db_red);
@@ -114,15 +114,14 @@ LinearShares FhgsProduct::online(const std::string& step_name, const MatI& da,
 // CtCtProduct (Primer-base)
 // ---------------------------------------------------------------------------
 
-LinearShares CtCtProduct::online(const std::string& step_name, const MatI& ac,
-                                 const MatI& as, const MatI& bc,
-                                 const MatI& bs) {
-  LinearShares out;
+SharePair CtCtProduct::online(const std::string& step_name, const SharePair& a,
+                              const SharePair& b) {
+  SharePair out;
   pc_.step("online", step_name, [&] {
-    const MatI ac_red = pc_.ring.reduce(ac);
-    const MatI as_red = pc_.ring.reduce(as);
-    const MatI bc_red = pc_.ring.reduce(bc);
-    const MatI bs_red = pc_.ring.reduce(bs);
+    const MatI ac_red = pc_.ring.reduce(a.client);
+    const MatI as_red = pc_.ring.reduce(a.server);
+    const MatI bc_red = pc_.ring.reduce(b.client);
+    const MatI bs_red = pc_.ring.reduce(b.server);
 
     // --- ct-pt terms ------------------------------------------------------
     // Ac*Bs: client encrypts Ac, server multiplies by Bs.
@@ -273,8 +272,8 @@ void ChgsScores::offline(const std::string& step_name, const MatI& r0) {
   });
 }
 
-LinearShares ChgsScores::online(const std::string& step_name, const MatI& d0) {
-  LinearShares out;
+SharePair ChgsScores::online(const std::string& step_name, const MatI& d0) {
+  SharePair out;
   pc_.step("online", step_name, [&] {
     const MatI d0_red = pc_.ring.reduce(d0);
     // Server: U~ = D0*WE + lambda (positions are public, raw domain).

@@ -17,16 +17,32 @@
 
 #include <string>
 
-#include "proto/linear.h"
 #include "proto/runtime.h"
 
 namespace primer {
 
-// Shares of C = A * B (ring, untruncated accumulation domain).
-class FhgsProduct {
+// Shares of C = A * B (ring, untruncated accumulation domain) from shares
+// of A (n x k) and B (k x m), whichever protocol runs the product.
+class ProductProtocol {
  public:
-  // Shapes: A is n x k, B is k x m.  The client holds masks Ra, Rb; the
-  // server holds Da = A - Ra and Db = B - Rb (all ring matrices).
+  ProductProtocol() = default;
+  ProductProtocol(const ProductProtocol&) = delete;
+  ProductProtocol& operator=(const ProductProtocol&) = delete;
+  virtual ~ProductProtocol() = default;
+
+  // Offline phase.  `ra` and `rb` are the client's shares of A and B (the
+  // masks the preceding GC stages re-shared them under).  Charged to
+  // costs["offline"][step_name].
+  virtual void offline(const std::string& step_name, const MatI& ra,
+                       const MatI& rb) = 0;
+
+  // Online phase, charged to costs["online"][step_name].
+  virtual SharePair online(const std::string& step_name, const SharePair& a,
+                           const SharePair& b) = 0;
+};
+
+class FhgsProduct : public ProductProtocol {
+ public:
   FhgsProduct(ProtocolContext& pc, std::size_t n, std::size_t k, std::size_t m)
       : pc_(pc), n_(n), k_(k), m_(m),
         mm_a_(pc.he, pc.encoder, pc.eval, PackingStrategy::kTokensFirst),
@@ -35,12 +51,14 @@ class FhgsProduct {
     pc_.keys.ensure_rotation_steps(mm_bt_.rotation_steps(m_));
   }
 
-  // Offline: client sends the triple Enc(Ra), Enc(Rb^T), Enc(Ra*Rb).
-  void offline(const std::string& step_name, const MatI& ra, const MatI& rb);
+  // The client sends the triple Enc(Ra), Enc(Rb^T), Enc(Ra*Rb).
+  void offline(const std::string& step_name, const MatI& ra,
+               const MatI& rb) override;
 
-  // Online: server computes shares of A*B from Da, Db.
-  LinearShares online(const std::string& step_name, const MatI& da,
-                      const MatI& db);
+  // The server computes its share from Da = a.server and Db = b.server
+  // (A - Ra and B - Rb); the client decrypts its share.
+  SharePair online(const std::string& step_name, const SharePair& a,
+                   const SharePair& b) override;
 
  private:
   ProtocolContext& pc_;
@@ -53,7 +71,7 @@ class FhgsProduct {
 };
 
 // Primer-base online ciphertext-ciphertext product of shared matrices.
-class CtCtProduct {
+class CtCtProduct : public ProductProtocol {
  public:
   CtCtProduct(ProtocolContext& pc, std::size_t n, std::size_t k, std::size_t m)
       : pc_(pc), n_(n), k_(k), m_(m),
@@ -65,10 +83,13 @@ class CtCtProduct {
     pc_.keys.ensure_rotation_steps(Evaluator::rotate_sum_steps(k_));
   }
 
+  // Fully online: nothing to precompute.
+  void offline(const std::string&, const MatI&, const MatI&) override {}
+
   // Everything online: the ct-ct cross term Ac*Bc plus two ct-pt terms and
   // one plaintext term.  Requires relin + power-of-two rotation keys.
-  LinearShares online(const std::string& step_name, const MatI& ac,
-                      const MatI& as, const MatI& bc, const MatI& bs);
+  SharePair online(const std::string& step_name, const SharePair& a,
+                   const SharePair& b) override;
 
  private:
   ProtocolContext& pc_;
@@ -90,7 +111,7 @@ class ChgsScores {
   void offline(const std::string& step_name, const MatI& r0);
 
   // Online: server holds d0 = X - R0; one interaction yields score shares.
-  LinearShares online(const std::string& step_name, const MatI& d0);
+  SharePair online(const std::string& step_name, const MatI& d0);
 
  private:
   ProtocolContext& pc_;

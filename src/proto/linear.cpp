@@ -20,10 +20,10 @@ void add_bias_inplace(const ShareRing& ring, MatI& share,
 
 }  // namespace
 
-void HgsLinear::offline(const std::string& step_name, const MatI& rc) {
+void HgsLinear::offline(const std::string& step_name, const MatI& mask) {
   pc_.step("offline", step_name, [&] {
-    // Client: encrypt the mask, packed per the layer's strategy.
-    const auto packed = mm_.encrypt_input(pc_.ring.reduce(rc), pc_.enc);
+    // Client: encrypt the mask Rc, packed per the layer's strategy.
+    const auto packed = mm_.encrypt_input(pc_.ring.reduce(mask), pc_.enc);
     pc_.send_cts(Party::kClient, packed);
 
     // Server: homomorphic Rc * W, then mask with fresh Rs.
@@ -55,12 +55,12 @@ void HgsLinear::offline(const std::string& step_name, const MatI& rc) {
   });
 }
 
-LinearShares HgsLinear::online(const std::string& step_name,
-                               const MatI& d) const {
-  LinearShares out;
+SharePair HgsLinear::online(const std::string& step_name,
+                            const SharePair& x) const {
+  SharePair out;
   pc_.step("online", step_name, [&] {
     // Server: (X - Rc) * W + Rs + bias — all unencrypted.
-    MatI ss = pc_.ring.mul(pc_.ring.reduce(d), pc_.ring.reduce(w_));
+    MatI ss = pc_.ring.mul(pc_.ring.reduce(x.server), pc_.ring.reduce(w_));
     ss = pc_.ring.add(ss, rs_);
     add_bias_inplace(pc_.ring, ss, bias_, pc_.fmt);
     out.server = std::move(ss);
@@ -69,12 +69,12 @@ LinearShares HgsLinear::online(const std::string& step_name,
   return out;
 }
 
-LinearShares BaseLinear::online(const std::string& step_name, const MatI& xc,
-                                const MatI& xs) const {
-  LinearShares out;
+SharePair BaseLinear::online(const std::string& step_name,
+                             const SharePair& x) const {
+  SharePair out;
   pc_.step("online", step_name, [&] {
     // Client encrypts its share and ships it.
-    const auto packed = mm_.encrypt_input(pc_.ring.reduce(xc), pc_.enc);
+    const auto packed = mm_.encrypt_input(pc_.ring.reduce(x.client), pc_.enc);
     pc_.send_cts(Party::kClient, packed);
 
     // Server: Enc(Xc)*W + Xs*W - Rs.
@@ -82,7 +82,7 @@ LinearShares BaseLinear::online(const std::string& step_name, const MatI& xc,
     PackedMatmulStats stats;
     auto result = mm_.multiply(received, w_, tokens_, pc_.t(), pc_.gk, &stats);
     const MatI plain_part =
-        pc_.ring.mul(pc_.ring.reduce(xs), pc_.ring.reduce(w_));
+        pc_.ring.mul(pc_.ring.reduce(x.server), pc_.ring.reduce(w_));
     MatI rs = pc_.ring.random(pc_.server_rng, tokens_, w_.cols());
     const std::size_t row = pc_.encoder.row_size();
     const std::size_t fpc = row / tokens_;

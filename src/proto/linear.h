@@ -10,19 +10,33 @@
 // and returns a masked result.  Same share interface, all cost online.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "proto/runtime.h"
 
 namespace primer {
 
-struct LinearShares {
-  MatI client;  // ring values mod t, accumulation (2*frac) domain
-  MatI server;
+// One linear layer X*W + bias over shared X, whichever protocol runs it.
+class LinearProtocol {
+ public:
+  LinearProtocol() = default;
+  LinearProtocol(const LinearProtocol&) = delete;
+  LinearProtocol& operator=(const LinearProtocol&) = delete;
+  virtual ~LinearProtocol() = default;
+
+  // Offline phase.  `mask` is the client's share of this layer's input
+  // (the mask the preceding GC stage re-shared its output under).  Charged
+  // to costs["offline"][step_name].
+  virtual void offline(const std::string& step_name, const MatI& mask) = 0;
+
+  // Online phase: shares of X*W + bias (ring values mod t, accumulation
+  // (2*frac) domain) from shares of X.  Charged to
+  // costs["online"][step_name].
+  virtual SharePair online(const std::string& step_name,
+                           const SharePair& x) const = 0;
 };
 
-class HgsLinear {
+class HgsLinear : public LinearProtocol {
  public:
   // W: d_in x d_out raw fixed-point (server-held); bias optional (d_out).
   HgsLinear(ProtocolContext& pc, MatI w, std::vector<std::int64_t> bias,
@@ -32,17 +46,13 @@ class HgsLinear {
     pc_.keys.ensure_rotation_steps(mm_.rotation_steps(tokens_));
   }
 
-  // Offline phase.  `rc` is the client's mask for this layer's input (the
-  // same mask the preceding GC stage used to re-share its output).
-  // Charged to costs[ "offline" ][ step_name ].
-  void offline(const std::string& step_name, const MatI& rc);
+  // The client's share of X*W is fixed here: Rc*W - Rs.
+  void offline(const std::string& step_name, const MatI& mask) override;
 
-  // Online phase: the server holds d = X - Rc (ring) and computes its share.
-  // The client share was fixed offline.  Returns both (client share is the
-  // locally stored offline value; no traffic needed online).
-  LinearShares online(const std::string& step_name, const MatI& d) const;
-
-  const MatI& weights() const { return w_; }
+  // The server holds x.server = X - Rc and computes its share unencrypted;
+  // x.client is the offline mask, so the client needs no traffic.
+  SharePair online(const std::string& step_name,
+                   const SharePair& x) const override;
 
  private:
   ProtocolContext& pc_;
@@ -54,7 +64,7 @@ class HgsLinear {
   MatI rs_;            // server mask (server side)
 };
 
-class BaseLinear {
+class BaseLinear : public LinearProtocol {
  public:
   BaseLinear(ProtocolContext& pc, MatI w, std::vector<std::int64_t> bias,
              std::size_t tokens, PackingStrategy strategy)
@@ -63,10 +73,13 @@ class BaseLinear {
     pc_.keys.ensure_rotation_steps(mm_.rotation_steps(tokens_));
   }
 
-  // Fully-online: input is shared (Xc at client, Xs at server); output is
-  // shares of X*W + bias.  Charged to costs["online"][step_name].
-  LinearShares online(const std::string& step_name, const MatI& xc,
-                      const MatI& xs) const;
+  // Fully online: nothing to precompute.
+  void offline(const std::string&, const MatI&) override {}
+
+  // The client encrypts x.client online; the server multiplies it and adds
+  // x.server*W.
+  SharePair online(const std::string& step_name,
+                   const SharePair& x) const override;
 
  private:
   ProtocolContext& pc_;

@@ -17,9 +17,12 @@ MatI slice_cols(const MatI& m, std::size_t from, std::size_t count) {
   return out;
 }
 
-void paste_cols(MatI& dst, const MatI& src, std::size_t from) {
+// Writes `src` into `dst` with its top-left corner at (row, col).
+void paste(MatI& dst, const MatI& src, std::size_t row, std::size_t col) {
   for (std::size_t i = 0; i < src.rows(); ++i) {
-    for (std::size_t j = 0; j < src.cols(); ++j) dst(i, from + j) = src(i, j);
+    for (std::size_t j = 0; j < src.cols(); ++j) {
+      dst(row + i, col + j) = src(i, j);
+    }
   }
 }
 
@@ -47,11 +50,66 @@ MatI one_hot_integer(const std::vector<std::size_t>& tokens,
   return x;
 }
 
-// Shared activation state: server holds d, client holds r; X = d + r mod t.
-struct Shared {
-  MatI d;
-  MatI r;
-};
+SharePair slice_cols(const SharePair& s, std::size_t from, std::size_t count) {
+  return {slice_cols(s.client, from, count), slice_cols(s.server, from, count)};
+}
+
+SharePair transposed(const SharePair& s) {
+  return {s.client.transposed(), s.server.transposed()};
+}
+
+SharePair row_of(const SharePair& s, std::size_t r) {
+  return {row_of(s.client, r), row_of(s.server, r)};
+}
+
+// One GC stage whose outputs the client re-shares under fresh masks.  The
+// server (garbler) feeds its share of each input; the client (evaluator)
+// feeds its share of each input, then each mask.  The stage reveals each
+// output minus its mask (to the server, except at the classifier), so
+// output i is shared as (masks[i], revealed value).
+std::vector<SharePair> reshare(ProtocolContext& pc, GcStage& stage,
+                               const std::string& step,
+                               const std::vector<SharePair>& ins,
+                               const std::vector<MatI>& masks) {
+  std::vector<bool> garbler, evaluator;
+  auto append = [](std::vector<bool>& to, const std::vector<bool>& bits) {
+    to.insert(to.end(), bits.begin(), bits.end());
+  };
+  for (const SharePair& in : ins) {
+    append(garbler, pc.ring_bits(in.server));
+    append(evaluator, pc.ring_bits(in.client));
+  }
+  for (const MatI& mask : masks) append(evaluator, pc.ring_bits(mask));
+  const std::vector<bool> bits =
+      stage.online("online", step, garbler, evaluator);
+  std::vector<SharePair> out;
+  auto from = bits.begin();
+  for (const MatI& mask : masks) {
+    const auto to = from + static_cast<std::ptrdiff_t>(mask.size() *
+                                                       pc.share_bits());
+    out.push_back(
+        {mask, pc.bits_to_ring({from, to}, mask.rows(), mask.cols())});
+    from = to;
+  }
+  return out;
+}
+
+// The same for a row-wise stage (softmax, layer norm): row i of every input
+// and of `mask` runs through stages[i].
+SharePair reshare_rows(ProtocolContext& pc,
+                       const std::vector<std::unique_ptr<GcStage>>& stages,
+                       const std::string& step,
+                       const std::vector<SharePair>& ins, const MatI& mask) {
+  SharePair out{mask, MatI(mask.rows(), mask.cols())};
+  for (std::size_t i = 0; i < mask.rows(); ++i) {
+    std::vector<SharePair> rows;
+    for (const SharePair& in : ins) rows.push_back(row_of(in, i));
+    const SharePair row =
+        reshare(pc, *stages[i], step, rows, {row_of(mask, i)})[0];
+    paste(out.server, row.server, i, 0);
+  }
+  return out;
+}
 
 // Cost-summary tail shared by the success path and the partial-result
 // builder on the failure path: everything that can be read off the context
@@ -258,13 +316,16 @@ PrimerRunResult PrimerEngine::run_protocol(
   const std::size_t heads = cfg.heads;
   const ShareRing& ring = pc.ring;
 
+  // Primer-base has no offline phase: it charges the key transfer and GC
+  // garbling online.
   const std::string off = offline_offload() ? "offline" : "online";
-  const PackingStrategy pack = linear_packing();
   // CHGS applies to every block: block 0 merges Embed+QKV(QK)+QxK from the
   // one-hot input; deeper blocks merge their Q/K projections into the
   // adjacent FHGS ("incorporating three HGS modules into the adjacent FHGS
   // module", Fig. 3d) using an identity embedding over the block input.
-  auto use_chgs = [&](std::size_t b) { (void)b; return merged_qk(); };
+  const bool chgs = merged_qk();
+  const std::string embed_step = chgs ? "others" : "embed";
+  const std::string v_step = chgs ? "attnv" : "qkv";
 
   // --- client masks (sampled offline) ---------------------------------------
   MatI r0 = ring.random(pc.client_rng, n, cfg.vocab);
@@ -288,90 +349,64 @@ PrimerRunResult PrimerEngine::run_protocol(
   }
 
   // --- protocol objects ------------------------------------------------------
-  auto hgs = [&](const MatI& w, const std::vector<std::int64_t>& bias,
-                 std::size_t toks) {
-    return std::make_unique<HgsLinear>(pc, w, bias, toks, pack);
-  };
-  auto base_lin = [&](const MatI& w, const std::vector<std::int64_t>& bias,
-                      std::size_t toks) {
+  // The variant picks the protocol behind each layer.  HGS and FHGS move the
+  // encrypted work offline; Primer-base runs the Gazelle-style online
+  // linear layer and ciphertext products, whose offline() does nothing.
+  const PackingStrategy pack = linear_packing();
+  auto linear = [&](const MatI& w, const std::vector<std::int64_t>& bias,
+                    std::size_t toks) -> std::unique_ptr<LinearProtocol> {
+    if (offline_offload()) {
+      return std::make_unique<HgsLinear>(pc, w, bias, toks, pack);
+    }
     return std::make_unique<BaseLinear>(pc, w, bias, toks, pack);
   };
+  auto product = [&](std::size_t rows, std::size_t inner,
+                     std::size_t cols) -> std::unique_ptr<ProductProtocol> {
+    if (offline_offload()) {
+      return std::make_unique<FhgsProduct>(pc, rows, inner, cols);
+    }
+    return std::make_unique<CtCtProduct>(pc, rows, inner, cols);
+  };
 
-  const std::string embed_step = merged_qk() ? "others" : "embed";
-  std::unique_ptr<HgsLinear> embed_hgs;
-  std::unique_ptr<BaseLinear> embed_base;
-  if (offline_offload()) {
-    embed_hgs = hgs(w_.we, {}, n);
-  } else {
-    embed_base = base_lin(w_.we, {}, n);
-  }
-
+  const auto embed = linear(w_.we, {}, n);
+  // Deeper CHGS blocks merge over an identity "embedding" of the block input
+  // (integer 1 entries keep the raw domain).
+  MatI ident(d, d);
+  for (std::size_t i = 0; i < d; ++i) ident(i, i) = 1;
   struct BlockProtos {
-    std::unique_ptr<HgsLinear> q, k, v, o, f1, f2;
-    std::unique_ptr<BaseLinear> qb, kb, vb, ob, f1b, f2b;
-    std::vector<std::unique_ptr<FhgsProduct>> qk, pv;
-    std::vector<std::unique_ptr<CtCtProduct>> qk_cc, pv_cc;
-    std::vector<std::unique_ptr<ChgsScores>> chgs;
+    std::unique_ptr<LinearProtocol> q, k, v, o, f1, f2;  // no q, k under CHGS
+    std::vector<std::unique_ptr<ProductProtocol>> qk, pv;  // per head
+    std::vector<std::unique_ptr<ChgsScores>> chgs;         // replaces qk
   };
   std::vector<BlockProtos> bp(cfg.blocks);
   for (std::size_t b = 0; b < cfg.blocks; ++b) {
     const auto& blk = w_.blocks[b];
-    if (offline_offload()) {
-      if (!use_chgs(b)) {
-        bp[b].q = hgs(blk.wq, blk.b_q, n);
-        bp[b].k = hgs(blk.wk, blk.b_k, n);
+    if (!chgs) {
+      bp[b].q = linear(blk.wq, blk.b_q, n);
+      bp[b].k = linear(blk.wk, blk.b_k, n);
+    }
+    bp[b].v = linear(blk.wv, blk.b_v, n);
+    bp[b].o = linear(blk.wo, blk.b_o, n);
+    bp[b].f1 = linear(blk.w1, blk.b_1, n);
+    bp[b].f2 = linear(blk.w2, blk.b_2, n);
+    for (std::size_t h = 0; h < heads; ++h) {
+      if (chgs) {
+        bp[b].chgs.push_back(std::make_unique<ChgsScores>(
+            pc, n, b == 0 ? w_.we : ident, b == 0 ? w_.pos : MatI(n, d),
+            slice_cols(blk.wq, h * dh, dh), slice_cols(blk.wk, h * dh, dh)));
+      } else {
+        bp[b].qk.push_back(product(n, dh, n));
       }
-      bp[b].v = hgs(blk.wv, blk.b_v, n);
-      bp[b].o = hgs(blk.wo, blk.b_o, n);
-      bp[b].f1 = hgs(blk.w1, blk.b_1, n);
-      bp[b].f2 = hgs(blk.w2, blk.b_2, n);
-      for (std::size_t h = 0; h < heads; ++h) {
-        if (use_chgs(b)) {
-          if (b == 0) {
-            bp[b].chgs.push_back(std::make_unique<ChgsScores>(
-                pc, n, w_.we, w_.pos, slice_cols(blk.wq, h * dh, dh),
-                slice_cols(blk.wk, h * dh, dh)));
-          } else {
-            // Identity "embedding" over the block input (integer 1 entries
-            // keep the raw domain).
-            MatI ident(d, d);
-            for (std::size_t i = 0; i < d; ++i) ident(i, i) = 1;
-            bp[b].chgs.push_back(std::make_unique<ChgsScores>(
-                pc, n, ident, MatI(n, d), slice_cols(blk.wq, h * dh, dh),
-                slice_cols(blk.wk, h * dh, dh)));
-          }
-        } else {
-          bp[b].qk.push_back(std::make_unique<FhgsProduct>(pc, n, dh, n));
-        }
-        bp[b].pv.push_back(std::make_unique<FhgsProduct>(pc, n, n, dh));
-      }
-    } else {
-      bp[b].qb = base_lin(blk.wq, blk.b_q, n);
-      bp[b].kb = base_lin(blk.wk, blk.b_k, n);
-      bp[b].vb = base_lin(blk.wv, blk.b_v, n);
-      bp[b].ob = base_lin(blk.wo, blk.b_o, n);
-      bp[b].f1b = base_lin(blk.w1, blk.b_1, n);
-      bp[b].f2b = base_lin(blk.w2, blk.b_2, n);
-      for (std::size_t h = 0; h < heads; ++h) {
-        bp[b].qk_cc.push_back(std::make_unique<CtCtProduct>(pc, n, dh, n));
-        bp[b].pv_cc.push_back(std::make_unique<CtCtProduct>(pc, n, n, dh));
-      }
+      bp[b].pv.push_back(product(n, n, dh));
     }
   }
-  std::unique_ptr<HgsLinear> cls_hgs;
-  std::unique_ptr<BaseLinear> cls_base;
-  if (offline_offload()) {
-    cls_hgs = hgs(w_.w_cls, w_.b_cls, 1);
-  } else {
-    cls_base = base_lin(w_.w_cls, w_.b_cls, 1);
-  }
+  const auto cls = linear(w_.w_cls, w_.b_cls, 1);
 
   // Every protocol object has registered its rotation steps by now.  The
   // engine's first run ships the client's finalized evaluation keys through
   // the accounted wire, then snapshots the first resumable boundary; once
   // the key set is installed the server holds them, and the transcript
-  // starts at GC offline.  Primer-base has no offline phase, so its key
-  // transfer is charged online like everything else.
+  // starts at GC offline.
   if (!pc.keys.installed()) {
     pc.transfer_keys(off);
     pc.checkpoint("key_transfer");
@@ -379,324 +414,141 @@ PrimerRunResult PrimerEngine::run_protocol(
 
   // --- GC stages ----------------------------------------------------------
   const ModelCircuits& gc = *circuits_;
-  GcStage gc_embed(pc, gc.embed, RevealTo::kGarbler);
-  gc_embed.offline(off, embed_step);
-
+  auto garble = [&](const ModelCircuits::Ptr& circuit, const std::string& step,
+                    RevealTo reveal = RevealTo::kGarbler) {
+    auto stage = std::make_unique<GcStage>(pc, circuit, reveal);
+    stage->offline(off, step);
+    return stage;
+  };
+  const auto gc_embed = garble(gc.embed, embed_step);
   struct BlockStages {
-    std::unique_ptr<GcStage> qkv;
-    std::vector<std::unique_ptr<GcStage>> softmax;
-    std::unique_ptr<GcStage> attnv;
-    std::vector<std::unique_ptr<GcStage>> ln1, ln2;
-    std::unique_ptr<GcStage> gelu;
+    std::unique_ptr<GcStage> qkv, attnv, gelu;
+    std::vector<std::vector<std::unique_ptr<GcStage>>> softmax;  // head, row
+    std::vector<std::unique_ptr<GcStage>> ln1, ln2;              // row
   };
   std::vector<BlockStages> bs(cfg.blocks);
   for (std::size_t b = 0; b < cfg.blocks; ++b) {
-    bs[b].qkv = std::make_unique<GcStage>(pc, gc.qkv, RevealTo::kGarbler);
-    bs[b].qkv->offline(off, use_chgs(b) ? "attnv" : "qkv");
-    for (std::size_t h = 0; h < heads; ++h) {
+    bs[b].qkv = garble(gc.qkv, v_step);
+    bs[b].softmax.resize(heads);
+    for (auto& rows : bs[b].softmax) {
       for (std::size_t i = 0; i < n; ++i) {
-        bs[b].softmax.push_back(
-            std::make_unique<GcStage>(pc, gc.softmax, RevealTo::kGarbler));
-        bs[b].softmax.back()->offline(off, "softmax");
+        rows.push_back(garble(gc.softmax, "softmax"));
       }
     }
-    bs[b].attnv = std::make_unique<GcStage>(pc, gc.attnv, RevealTo::kGarbler);
-    bs[b].attnv->offline(off, "attnv");
+    bs[b].attnv = garble(gc.attnv, "attnv");
     for (std::size_t i = 0; i < n; ++i) {
-      bs[b].ln1.push_back(
-          std::make_unique<GcStage>(pc, gc.ln1[b], RevealTo::kGarbler));
-      bs[b].ln1.back()->offline(off, "others");
-      bs[b].ln2.push_back(
-          std::make_unique<GcStage>(pc, gc.ln2[b], RevealTo::kGarbler));
-      bs[b].ln2.back()->offline(off, "others");
+      bs[b].ln1.push_back(garble(gc.ln1[b], "others"));
+      bs[b].ln2.push_back(garble(gc.ln2[b], "others"));
     }
-    bs[b].gelu = std::make_unique<GcStage>(pc, gc.gelu, RevealTo::kGarbler);
-    bs[b].gelu->offline(off, "others");
+    bs[b].gelu = garble(gc.gelu, "others");
   }
-  GcStage gc_cls(pc, gc.cls, RevealTo::kEvaluator);
-  gc_cls.offline(off, "others");
+  const auto gc_cls = garble(gc.cls, "others", RevealTo::kEvaluator);
   pc.checkpoint("gc_offline");
 
   // --- HGS/FHGS/CHGS offline -------------------------------------------------
-  if (offline_offload()) {
-    embed_hgs->offline(embed_step, r0);
-    for (std::size_t b = 0; b < cfg.blocks; ++b) {
-      const MatI& rin = (b == 0) ? r_u : bm[b - 1].rl2;
-      if (!use_chgs(b)) {
-        bp[b].q->offline("qkv", rin);
-        bp[b].k->offline("qkv", rin);
-      }
-      bp[b].v->offline(use_chgs(b) ? "attnv" : "qkv", rin);
-      bp[b].o->offline("others", bm[b].ra);
-      bp[b].f1->offline("others", bm[b].rl1);
-      bp[b].f2->offline("others", bm[b].rg);
-      for (std::size_t h = 0; h < heads; ++h) {
-        if (use_chgs(b)) {
-          bp[b].chgs[h]->offline("qk", b == 0 ? r0 : rin);
-        } else {
-          bp[b].qk[h]->offline("qk", slice_cols(bm[b].rq, h * dh, dh),
-                               slice_cols(bm[b].rk, h * dh, dh).transposed());
-        }
-        bp[b].pv[h]->offline("attnv", bm[b].rp[h],
-                             slice_cols(bm[b].rv, h * dh, dh));
-      }
+  embed->offline(embed_step, r0);
+  for (std::size_t b = 0; b < cfg.blocks; ++b) {
+    const BlockMasks& m = bm[b];
+    const MatI& rin = (b == 0) ? r_u : bm[b - 1].rl2;
+    if (!chgs) {
+      bp[b].q->offline("qkv", rin);
+      bp[b].k->offline("qkv", rin);
     }
-    cls_hgs->offline("others", row_of(bm[cfg.blocks - 1].rl2, 0));
+    bp[b].v->offline(v_step, rin);
+    bp[b].o->offline("others", m.ra);
+    bp[b].f1->offline("others", m.rl1);
+    bp[b].f2->offline("others", m.rg);
+    for (std::size_t h = 0; h < heads; ++h) {
+      if (chgs) {
+        bp[b].chgs[h]->offline("qk", b == 0 ? r0 : rin);
+      } else {
+        bp[b].qk[h]->offline("qk", slice_cols(m.rq, h * dh, dh),
+                             slice_cols(m.rk, h * dh, dh).transposed());
+      }
+      bp[b].pv[h]->offline("attnv", m.rp[h], slice_cols(m.rv, h * dh, dh));
+    }
   }
+  cls->offline("others", row_of(bm[cfg.blocks - 1].rl2, 0));
   pc.checkpoint("linear_offline");
 
   // ==========================================================================
   // ONLINE
   // ==========================================================================
-  const MatI x = one_hot_integer(tokens, cfg);
-  MatI d0;  // server-held X - R0 (HGS variants)
-
-  // Embedding.
-  LinearShares acc_u;
+  // Embedding.  Under Primer-base the client holds the one-hot X itself;
+  // under HGS it sends X - R0 and keeps the mask R0.
+  SharePair x0{ring.reduce(one_hot_integer(tokens, cfg)), MatI(n, cfg.vocab)};
   if (offline_offload()) {
     pc.step("online", embed_step, [&] {
-      d0 = ring.sub(ring.reduce(x), r0);
-      pc.send_ring(Party::kClient, d0);
-      d0 = pc.recv_ring(Party::kServer, n, cfg.vocab);
+      pc.send_ring(Party::kClient, ring.sub(x0.client, r0));
+      x0 = {r0, pc.recv_ring(Party::kServer, n, cfg.vocab)};
     });
-    acc_u = embed_hgs->online(embed_step, d0);
-  } else {
-    acc_u = embed_base->online("embed", ring.reduce(x), MatI(n, cfg.vocab));
   }
+  SharePair acc_u = embed->online(embed_step, x0);
   // Positional bias (public, raw domain — the embedding is raw already).
   pc.step("online", embed_step, [&] {
     acc_u.server = ring.add(acc_u.server, ring.reduce(w_.pos));
   });
-
-  Shared cur;  // current block input (raw domain)
-  {
-    const auto bits = gc_embed.online(
-        "online", embed_step,
-        pc.ring_bits(acc_u.server),
-        [&] {
-          auto e = pc.ring_bits(acc_u.client);
-          const auto r = pc.ring_bits(r_u);
-          e.insert(e.end(), r.begin(), r.end());
-          return e;
-        }());
-    cur.d = pc.bits_to_ring(bits, n, d);
-    cur.r = r_u;
-  }
+  SharePair cur = reshare(pc, *gc_embed, embed_step, {acc_u}, {r_u})[0];
   pc.checkpoint("online_embed");
 
   for (std::size_t b = 0; b < cfg.blocks; ++b) {
-    // --- QKV ---------------------------------------------------------------
-    Shared q, k, v;
-    {
-      LinearShares aq, ak, av;
-      if (offline_offload()) {
-        if (!use_chgs(b)) {
-          aq = bp[b].q->online("qkv", cur.d);
-          ak = bp[b].k->online("qkv", cur.d);
-        }
-        av = bp[b].v->online(use_chgs(b) ? "attnv" : "qkv", cur.d);
-      } else {
-        aq = bp[b].qb->online("qkv", cur.r, cur.d);
-        ak = bp[b].kb->online("qkv", cur.r, cur.d);
-        av = bp[b].vb->online("qkv", cur.r, cur.d);
-      }
-      // One GC stage truncates Q|K|V together (or V alone under CHGS).
-      std::vector<bool> gbits, ebits;
-      auto append = [&](const LinearShares& s, const MatI& mask) {
-        const auto g = pc.ring_bits(s.server);
-        gbits.insert(gbits.end(), g.begin(), g.end());
-        const auto e = pc.ring_bits(s.client);
-        ebits.insert(ebits.end(), e.begin(), e.end());
-        (void)mask;
-      };
-      std::vector<bool> maskbits;
-      auto append_mask = [&](const MatI& mask) {
-        const auto m = pc.ring_bits(mask);
-        maskbits.insert(maskbits.end(), m.begin(), m.end());
-      };
-      if (use_chgs(b)) {
-        append(av, bm[b].rv);
-        append_mask(bm[b].rv);
-      } else {
-        append(aq, bm[b].rq);
-        append(ak, bm[b].rk);
-        append(av, bm[b].rv);
-        append_mask(bm[b].rq);
-        append_mask(bm[b].rk);
-        append_mask(bm[b].rv);
-      }
-      ebits.insert(ebits.end(), maskbits.begin(), maskbits.end());
-      const auto bits = bs[b].qkv->online(
-          "online", use_chgs(b) ? "attnv" : "qkv", gbits, ebits);
-      if (use_chgs(b)) {
-        v.d = pc.bits_to_ring(bits, n, d);
-        v.r = bm[b].rv;
-      } else {
-        const std::size_t per = n * d * pc.share_bits();
-        q.d = pc.bits_to_ring({bits.begin(), bits.begin() + per}, n, d);
-        k.d = pc.bits_to_ring({bits.begin() + per, bits.begin() + 2 * per}, n, d);
-        v.d = pc.bits_to_ring({bits.begin() + 2 * per, bits.end()}, n, d);
-        q.r = bm[b].rq;
-        k.r = bm[b].rk;
-        v.r = bm[b].rv;
-      }
+    const BlockMasks& m = bm[b];
+    BlockProtos& p = bp[b];
+    BlockStages& s = bs[b];
+
+    // --- QKV: one GC stage truncates Q|K|V together (V alone under CHGS) ----
+    SharePair q, k, v;
+    if (chgs) {
+      v = reshare(pc, *s.qkv, v_step, {p.v->online(v_step, cur)}, {m.rv})[0];
+    } else {
+      const SharePair aq = p.q->online("qkv", cur);
+      const SharePair ak = p.k->online("qkv", cur);
+      const SharePair av = p.v->online("qkv", cur);
+      const auto out =
+          reshare(pc, *s.qkv, "qkv", {aq, ak, av}, {m.rq, m.rk, m.rv});
+      q = out[0];
+      k = out[1];
+      v = out[2];
     }
 
     // --- attention scores + softmax + value ---------------------------------
-    LinearShares acc_attn;
-    acc_attn.client = MatI(n, d);
-    acc_attn.server = MatI(n, d);
+    SharePair attn_acc{MatI(n, d), MatI(n, d)};
     for (std::size_t h = 0; h < heads; ++h) {
-      LinearShares score;
-      if (use_chgs(b)) {
-        score = bp[b].chgs[h]->online("qk", b == 0 ? d0 : cur.d);
-      } else if (offline_offload()) {
-        score = bp[b].qk[h]->online(
-            "qk", slice_cols(q.d, h * dh, dh),
-            slice_cols(k.d, h * dh, dh).transposed());
-      } else {
-        score = bp[b].qk_cc[h]->online(
-            "qk", slice_cols(q.r, h * dh, dh), slice_cols(q.d, h * dh, dh),
-            slice_cols(k.r, h * dh, dh).transposed(),
-            slice_cols(k.d, h * dh, dh).transposed());
-      }
-      // Softmax row by row.
-      Shared p;
-      p.d = MatI(n, n);
-      p.r = bm[b].rp[h];
-      for (std::size_t i = 0; i < n; ++i) {
-        auto ebits = pc.ring_bits_row(score.client, i);
-        const auto rbits = pc.ring_bits_row(bm[b].rp[h], i);
-        ebits.insert(ebits.end(), rbits.begin(), rbits.end());
-        const auto bits = bs[b].softmax[h * n + i]->online(
-            "online", "softmax", pc.ring_bits_row(score.server, i), ebits);
-        const MatI rowm = pc.bits_to_ring(bits, 1, n);
-        for (std::size_t j = 0; j < n; ++j) p.d(i, j) = rowm(0, j);
-      }
-      // P x V.
-      LinearShares head_out;
-      if (offline_offload()) {
-        head_out = bp[b].pv[h]->online("attnv", p.d,
-                                       slice_cols(v.d, h * dh, dh));
-      } else {
-        head_out = bp[b].pv_cc[h]->online(
-            "attnv", p.r, p.d, slice_cols(v.r, h * dh, dh),
-            slice_cols(v.d, h * dh, dh));
-      }
-      paste_cols(acc_attn.client, head_out.client, h * dh);
-      paste_cols(acc_attn.server, head_out.server, h * dh);
+      const SharePair score =
+          chgs ? p.chgs[h]->online("qk", b == 0 ? x0.server : cur.server)
+               : p.qk[h]->online("qk", slice_cols(q, h * dh, dh),
+                                 transposed(slice_cols(k, h * dh, dh)));
+      const SharePair probs =
+          reshare_rows(pc, s.softmax[h], "softmax", {score}, m.rp[h]);
+      const SharePair head =
+          p.pv[h]->online("attnv", probs, slice_cols(v, h * dh, dh));
+      paste(attn_acc.client, head.client, 0, h * dh);
+      paste(attn_acc.server, head.server, 0, h * dh);
     }
+    const SharePair attn =
+        reshare(pc, *s.attnv, "attnv", {attn_acc}, {m.ra})[0];
 
-    // Truncate attention output.
-    Shared attn;
-    {
-      auto ebits = pc.ring_bits(acc_attn.client);
-      const auto rbits = pc.ring_bits(bm[b].ra);
-      ebits.insert(ebits.end(), rbits.begin(), rbits.end());
-      const auto bits = bs[b].attnv->online("online", "attnv",
-                                            pc.ring_bits(acc_attn.server),
-                                            ebits);
-      attn.d = pc.bits_to_ring(bits, n, d);
-      attn.r = bm[b].ra;
-    }
-
-    // --- projection + LN1 ----------------------------------------------------
-    LinearShares acc_proj;
-    if (offline_offload()) {
-      acc_proj = bp[b].o->online("others", attn.d);
-    } else {
-      acc_proj = bp[b].ob->online("others", attn.r, attn.d);
-    }
-    Shared l1;
-    l1.d = MatI(n, d);
-    l1.r = bm[b].rl1;
-    for (std::size_t i = 0; i < n; ++i) {
-      auto gbits = pc.ring_bits_row(acc_proj.server, i);
-      const auto gres = pc.ring_bits_row(cur.d, i);
-      gbits.insert(gbits.end(), gres.begin(), gres.end());
-      auto ebits = pc.ring_bits_row(acc_proj.client, i);
-      const auto eres = pc.ring_bits_row(cur.r, i);
-      ebits.insert(ebits.end(), eres.begin(), eres.end());
-      const auto rbits = pc.ring_bits_row(bm[b].rl1, i);
-      ebits.insert(ebits.end(), rbits.begin(), rbits.end());
-      const auto bits =
-          bs[b].ln1[i]->online("online", "others", gbits, ebits);
-      const MatI rowm = pc.bits_to_ring(bits, 1, d);
-      for (std::size_t j = 0; j < d; ++j) l1.d(i, j) = rowm(0, j);
-    }
-
-    // --- FFN + LN2 -----------------------------------------------------------
-    LinearShares acc_f1;
-    if (offline_offload()) {
-      acc_f1 = bp[b].f1->online("others", l1.d);
-    } else {
-      acc_f1 = bp[b].f1b->online("others", l1.r, l1.d);
-    }
-    Shared g;
-    {
-      auto ebits = pc.ring_bits(acc_f1.client);
-      const auto rbits = pc.ring_bits(bm[b].rg);
-      ebits.insert(ebits.end(), rbits.begin(), rbits.end());
-      const auto bits = bs[b].gelu->online("online", "others",
-                                           pc.ring_bits(acc_f1.server), ebits);
-      g.d = pc.bits_to_ring(bits, n, cfg.d_ff);
-      g.r = bm[b].rg;
-    }
-    LinearShares acc_f2;
-    if (offline_offload()) {
-      acc_f2 = bp[b].f2->online("others", g.d);
-    } else {
-      acc_f2 = bp[b].f2b->online("others", g.r, g.d);
-    }
-    Shared l2;
-    l2.d = MatI(n, d);
-    l2.r = bm[b].rl2;
-    for (std::size_t i = 0; i < n; ++i) {
-      auto gbits = pc.ring_bits_row(acc_f2.server, i);
-      const auto gres = pc.ring_bits_row(l1.d, i);
-      gbits.insert(gbits.end(), gres.begin(), gres.end());
-      auto ebits = pc.ring_bits_row(acc_f2.client, i);
-      const auto eres = pc.ring_bits_row(l1.r, i);
-      ebits.insert(ebits.end(), eres.begin(), eres.end());
-      const auto rbits = pc.ring_bits_row(bm[b].rl2, i);
-      ebits.insert(ebits.end(), rbits.begin(), rbits.end());
-      const auto bits =
-          bs[b].ln2[i]->online("online", "others", gbits, ebits);
-      const MatI rowm = pc.bits_to_ring(bits, 1, d);
-      for (std::size_t j = 0; j < d; ++j) l2.d(i, j) = rowm(0, j);
-    }
-
-    cur = l2;
+    // --- projection + LN1, FFN + LN2 ----------------------------------------
+    const SharePair l1 = reshare_rows(
+        pc, s.ln1, "others", {p.o->online("others", attn), cur}, m.rl1);
+    const SharePair g =
+        reshare(pc, *s.gelu, "others", {p.f1->online("others", l1)}, {m.rg})[0];
+    cur = reshare_rows(pc, s.ln2, "others", {p.f2->online("others", g), l1},
+                       m.rl2);
     pc.checkpoint("online_block_" + std::to_string(b));
   }
 
   // --- classifier ------------------------------------------------------------
-  LinearShares acc_cls;
-  if (offline_offload()) {
-    acc_cls = cls_hgs->online("others", row_of(cur.d, 0));
-  } else {
-    acc_cls = cls_base->online("others", row_of(cur.r, 0), row_of(cur.d, 0));
-  }
+  const SharePair acc_cls = cls->online("others", row_of(cur, 0));
+  // The classifier stage reveals its output to the client, and under a zero
+  // mask that output is the logits themselves.
+  const MatI logits = ring.reconstruct(reshare(
+      pc, *gc_cls, "others", {acc_cls}, {MatI(1, cfg.num_classes)})[0]);
   PrimerRunResult result;
-  {
-    auto ebits = pc.ring_bits(acc_cls.client);
-    const MatI zero_mask(1, cfg.num_classes);
-    const auto rbits = pc.ring_bits(zero_mask);
-    ebits.insert(ebits.end(), rbits.begin(), rbits.end());
-    const auto bits = gc_cls.online("online", "others",
-                                    pc.ring_bits(acc_cls.server), ebits);
-    const MatI logits_ring = pc.bits_to_ring(bits, 1, cfg.num_classes);
-    result.logits.resize(cfg.num_classes);
-    for (std::size_t c = 0; c < cfg.num_classes; ++c) {
-      result.logits[c] = ring.center(logits_ring(0, c));
-    }
-  }
-  result.predicted = 0;
-  for (std::size_t c = 1; c < cfg.num_classes; ++c) {
-    if (result.logits[c] > result.logits[result.predicted]) {
-      result.predicted = c;
-    }
-  }
+  result.logits = logits.data();
+  result.predicted = static_cast<std::size_t>(
+      std::max_element(result.logits.begin(), result.logits.end()) -
+      result.logits.begin());
 
   // --- cost summary ------------------------------------------------------------
   summarize_costs(result, pc);

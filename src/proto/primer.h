@@ -10,9 +10,14 @@
 // byte-accounted channel, and reports per-step offline/online costs with the
 // same step names as Table II: embed, qkv, qk, softmax, attnv, others.
 //
+// One protocol schedule runs all four.  The variant picks the object behind
+// each linear layer (LinearProtocol) and attention product
+// (ProductProtocol), whether CHGS merges the scores, and whether the
+// offline work is charged offline or, under Primer-base, online.
+//
 // Protocol state between steps is the HGS invariant: for every activation X,
-// the server holds D = X - R and the client holds the mask R (additive
-// shares of X over Z_t).
+// the server holds D = X - R and the client holds the mask R (a SharePair:
+// additive shares of X over Z_t).
 #pragma once
 
 #include <memory>

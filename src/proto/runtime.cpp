@@ -72,6 +72,7 @@ ProtocolContext::ProtocolContext(std::unique_ptr<ClientKeys> own,
       rk(keys.rk),
       session(std::move(options)),
       framed(channel, session.faults),
+      ot(framed),
       ring(he.t()) {
   // Parameter fingerprint for the resume handshake: a peer with a
   // different profile, modulus chain or seed is a different session, and
@@ -85,11 +86,6 @@ ProtocolContext::ProtocolContext(std::unique_ptr<ClientKeys> own,
   params_hash_ = crc32c(w.data().data(), w.size());
   deadline.configure(&channel, session.phase_deadline_s, session.cancel);
   framed.set_deadline(&deadline);
-  if (session.cancel != nullptr) set_parallel_cancel_token(session.cancel);
-}
-
-ProtocolContext::~ProtocolContext() {
-  if (session.cancel != nullptr) set_parallel_cancel_token(nullptr);
 }
 
 void ProtocolContext::step(const std::string& phase,
@@ -455,18 +451,6 @@ std::vector<bool> ProtocolContext::ring_bits(const MatI& m) const {
     for (std::size_t b = 0; b < w; ++b) {
       bits.push_back((static_cast<std::uint64_t>(v) >> b) & 1);
     }
-  }
-  return bits;
-}
-
-std::vector<bool> ProtocolContext::ring_bits_row(const MatI& m,
-                                                 std::size_t row) const {
-  const std::size_t w = share_bits();
-  std::vector<bool> bits;
-  bits.reserve(m.cols() * w);
-  for (std::size_t c = 0; c < m.cols(); ++c) {
-    const auto v = static_cast<std::uint64_t>(m(row, c));
-    for (std::size_t b = 0; b < w; ++b) bits.push_back((v >> b) & 1);
   }
   return bits;
 }

@@ -113,7 +113,6 @@ class ProtocolContext {
   ProtocolContext(HeProfile profile, std::uint64_t seed,
                   std::vector<int> rotation_steps,
                   SessionOptions options = SessionOptions::from_env());
-  ~ProtocolContext();
   ProtocolContext(const ProtocolContext&) = delete;
   ProtocolContext& operator=(const ProtocolContext&) = delete;
 
@@ -141,6 +140,9 @@ class ProtocolContext {
   // wrapper: a single pair of per-direction sequence spaces, with fault
   // injection from SessionOptions.
   FramedChannel framed;
+  // The one OT every GC stage of the session runs over: its one-time setup
+  // is charged to the first stage's offline step.
+  SimulatedOt ot;
   ShareRing ring;
   CostAccumulator costs;
   FixedPointFormat fmt;
@@ -201,7 +203,6 @@ class ProtocolContext {
 
   // Bit marshalling between ring matrices and GC input bit vectors.
   std::vector<bool> ring_bits(const MatI& m) const;
-  std::vector<bool> ring_bits_row(const MatI& m, std::size_t row) const;
   MatI bits_to_ring(const std::vector<bool>& bits, std::size_t rows,
                     std::size_t cols) const;
 
@@ -223,7 +224,7 @@ class GcStage {
  public:
   GcStage(ProtocolContext& pc, std::shared_ptr<const Circuit> circuit,
           RevealTo reveal)
-      : pc_(pc), session_(pc.framed, pc.server_rng),
+      : pc_(pc), session_(pc.framed, pc.server_rng, pc.ot),
         circuit_(std::move(circuit)), reveal_(reveal) {}
 
   // Garble + transmit tables; charge to costs[phase][step_name].

@@ -300,7 +300,7 @@ DrainReport PrimerServer::drain(double deadline_s) {
         [&] { return running_.empty(); });
     if (!report.met_deadline) {
       // Past the deadline: force-cancel the stragglers.  They resolve as
-      // kDrained at their next poll point (frame/step/chunk granularity).
+      // kDrained at their next poll point (frame or step granularity).
       for (const auto& t : running_) {
         ++report.forced;
         t->cancel_.cancel("drain deadline (" + std::to_string(deadline_s) +

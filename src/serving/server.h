@@ -18,8 +18,7 @@
 //   * Graceful drain: stop admitting, shed the queue, let in-flight
 //     sessions persist a checkpoint at their next phase boundary
 //     (SessionDrained), force-cancel stragglers at the drain deadline
-//     (the session's cancel token, scoped to its thread through the
-//     common/parallel.h thread-local token).
+//     (the session's cancel token, polled at every frame and step).
 //   * Observability: ServerStats snapshots (accepted/shed/completed/...,
 //     queue depth, p50/p99 latency).
 //

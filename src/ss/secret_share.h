@@ -14,7 +14,10 @@
 
 namespace primer {
 
-// Matrices of ring elements in [0, t).
+// One shared matrix of ring elements in [0, t): X = client + server mod t.
+// Every shared matrix of the protocols is one: an activation (the client's
+// share is its mask R, the server holds X - R) and the output of every
+// linear, product and score protocol.
 struct SharePair {
   MatI client;
   MatI server;

@@ -1,4 +1,5 @@
-// Exact transcript counters of the three benchmark shapes.
+// Exact transcript counters of the three benchmark shapes, and of the two
+// variants no benchmark runs (Primer-base and Primer-F).
 //
 // Wire bytes, flights, frames, HE operation counts and garbled-circuit sizes
 // depend neither on the host, the thread count, the kernel tier nor the
@@ -29,13 +30,24 @@ struct Counts {
 
 // BERT-nano, Primer-FP, kProd8192 (the nano-prod-fp shape).
 constexpr Counts kNanoProdFp[] = {
-    {297288894, 144, 84, 370, 1020, 427, 0, 2271102, 72675264},
-    {90833304, 143, 84, 281, 1020, 427, 0, 2271102, 72675264},
+    {297042174, 104, 84, 330, 1020, 427, 0, 2271102, 72675264},
+    {90586584, 103, 84, 241, 1020, 427, 0, 2271102, 72675264},
 };
 // 2-block BERT-nano, Primer-FPC, kProto2048 (the nano2-proto-fpc shape).
 constexpr Counts kNano2ProtoFpc[] = {
-    {170576137, 270, 160, 581, 1016, 1088, 0, 4131900, 132220800},
-    {144320207, 269, 160, 535, 1016, 1088, 0, 4131900, 132220800},
+    {170095033, 192, 160, 503, 1016, 1088, 0, 4131900, 132220800},
+    {143839103, 191, 160, 457, 1016, 1088, 0, 4131900, 132220800},
+};
+
+// BERT-nano, Primer-base, kProto2048: every step online, key transfer too.
+constexpr Counts kNanoProtoBase[] = {
+    {108294321, 94, 94, 282, 1248, 1655, 96, 2157036, 69025152},
+    {89118631, 93, 93, 248, 1248, 1655, 96, 2157036, 69025152},
+};
+// BERT-nano, Primer-F, kProto2048.
+constexpr Counts kNanoProtoF[] = {
+    {102393337, 104, 84, 287, 718, 1391, 0, 2157036, 69025152},
+    {76137407, 103, 84, 241, 718, 1391, 0, 2157036, 69025152},
 };
 
 Counts counts_of(const PrimerRunResult& r) {
@@ -82,9 +94,9 @@ struct ServeCounts {
 // engine, so both fresh requests ship the keys; the repeat resumes at the
 // last checkpoint and replays every frame before it at zero wire cost.
 constexpr ServeCounts kServeMixed[] = {
-    {102640133, 146, 84, 329, 0, 0, 76, 0},
-    {13292, 4, 2, 329, 324, 102626881, 116, 5},
-    {102640133, 146, 84, 329, 0, 0, 76, 0},
+    {102393413, 106, 84, 289, 0, 0, 76, 0},
+    {13292, 4, 2, 289, 284, 102380161, 116, 5},
+    {102393413, 106, 84, 289, 0, 0, 76, 0},
 };
 
 TEST(TranscriptCounts, NanoProdFp) {
@@ -98,6 +110,16 @@ TEST(TranscriptCounts, TwoBlockNanoProtoFpc) {
   cfg.blocks = 2;
   expect_counts(cfg, PrimerVariant::kFPC, HeProfile::kProto2048,
                 kNano2ProtoFpc);
+}
+
+TEST(TranscriptCounts, NanoProtoBase) {
+  expect_counts(bert_nano(), PrimerVariant::kBase, HeProfile::kProto2048,
+                kNanoProtoBase);
+}
+
+TEST(TranscriptCounts, NanoProtoF) {
+  expect_counts(bert_nano(), PrimerVariant::kF, HeProfile::kProto2048,
+                kNanoProtoF);
 }
 
 TEST(TranscriptCounts, ServeMixedShape) {

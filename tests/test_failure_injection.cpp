@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "gc/fixed_circuits.h"
@@ -727,6 +729,28 @@ TEST(ResumeRecovery, CancelledSessionIsNotRestarted) {
   opts.cancel = &cancel;
   EXPECT_THROW((void)engine.run_resilient({3, 17, 9, 28}, opts, 5),
                OperationCancelled);
+  ASSERT_NE(engine.last_partial(), nullptr);
+  EXPECT_EQ(engine.last_partial()->restarts, 0);
+}
+
+// A token another thread fires mid-run, as the server's forced drain does,
+// stops a storeless run at its next frame or step poll, and the restart
+// loop does not retry it.
+TEST(ResumeRecovery, TokenFiredMidRunCancelsTheRun) {
+  Rng wrng(2025);
+  const auto weights = quantize(BertWeightsD::random(bert_nano(), wrng));
+  PrimerEngine engine(weights, PrimerVariant::kF);
+  (void)engine.run({3, 17, 9, 28});  // keys generated and installed
+  CancelToken cancel;
+  SessionOptions opts;
+  opts.cancel = &cancel;
+  std::thread firer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    cancel.cancel("fired mid-run");
+  });
+  EXPECT_THROW((void)engine.run_resilient({30, 0, 12, 5}, opts, 5),
+               OperationCancelled);
+  firer.join();
   ASSERT_NE(engine.last_partial(), nullptr);
   EXPECT_EQ(engine.last_partial()->restarts, 0);
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -30,6 +31,28 @@ class ThreadGuard {
  private:
   std::size_t prev_;
 };
+
+// PRIMER_THREADS is parsed like every other knob: a malformed value makes
+// the executor's first use throw instead of running serial ("abc", "-1")
+// or on the digits it could read ("4x").  The executor is a process-wide
+// singleton, so each value runs in a fresh process.
+TEST(ParallelDeathTest, MalformedThreadsKnobIsRejected) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* value : {"abc", "4x", "-1"}) {
+    SCOPED_TRACE(value);
+    EXPECT_EXIT(
+        {
+          setenv("PRIMER_THREADS", value, 1);
+          try {
+            (void)num_threads();
+          } catch (const std::invalid_argument&) {
+            std::exit(0);
+          }
+          std::exit(1);
+        },
+        ::testing::ExitedWithCode(0), "");
+  }
+}
 
 TEST(ParallelFor, EmptyRange) {
   ThreadGuard guard(4);
@@ -166,7 +189,7 @@ PipelineOutput run_pipeline() {
     layer.offline("qkv", rc);
     const MatI x = random_fp_matrix(rng, tokens, d_in, -2.0, 2.0);
     const MatI d = pc.ring.sub(pc.ring.reduce(x), rc);
-    const auto shares = layer.online("qkv", d);
+    const auto shares = layer.online("qkv", {rc, d});
     out.hgs_client = shares.client;
     out.hgs_server = shares.server;
   }

@@ -32,9 +32,9 @@ TEST(HgsLinear, SharesReconstructToProduct) {
   // True input X (raw fixed point), server gets D = X - Rc.
   const MatI x = random_fp_matrix(rng, n, din, -2.0, 2.0);
   const MatI d = pc.ring.sub(pc.ring.reduce(x), rc);
-  const auto shares = layer.online("qkv", d);
+  const auto shares = layer.online("qkv", {rc, d});
 
-  const MatI got = pc.ring.reconstruct({shares.client, shares.server});
+  const MatI got = pc.ring.reconstruct(shares);
   const MatI expect = fixed_linear_acc(x, w, &bias);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < dout; ++j) {
@@ -59,8 +59,9 @@ TEST(BaseLinear, SharesReconstructToProduct) {
 
   const MatI x = random_fp_matrix(rng, n, din, -2.0, 2.0);
   const auto xs = pc.ring.share(x, rng);
-  const auto shares = layer.online("qkv", xs.client, xs.server);
-  const MatI got = pc.ring.reconstruct({shares.client, shares.server});
+  layer.offline("qkv", xs.client);  // nothing to precompute
+  const auto shares = layer.online("qkv", xs);
+  const MatI got = pc.ring.reconstruct(shares);
   const MatI expect = fixed_linear_acc(x, w, nullptr);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < dout; ++j) {
@@ -69,6 +70,7 @@ TEST(BaseLinear, SharesReconstructToProduct) {
   }
   // Everything online for the base protocol.
   EXPECT_GT(pc.costs.at("online", "qkv").bytes_sent, 0u);
+  EXPECT_EQ(pc.costs.all().count("offline"), 0u);
 }
 
 TEST(FhgsProduct, SharesReconstructToMatrixProduct) {
@@ -85,9 +87,9 @@ TEST(FhgsProduct, SharesReconstructToMatrixProduct) {
   prod.offline("qk", ra, rb);
   const MatI da = pc.ring.sub(pc.ring.reduce(a), ra);
   const MatI db = pc.ring.sub(pc.ring.reduce(b), rb);
-  const auto shares = prod.online("qk", da, db);
+  const auto shares = prod.online("qk", {ra, da}, {rb, db});
 
-  const MatI got = pc.ring.reconstruct({shares.client, shares.server});
+  const MatI got = pc.ring.reconstruct(shares);
   const MatI expect = a * b;  // untruncated integer accumulation
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < m; ++j) {
@@ -110,9 +112,9 @@ TEST(CtCtProduct, SharesReconstructToMatrixProduct) {
   const auto bs = pc.ring.share(b, rng);
 
   CtCtProduct prod(pc, n, k, m);
-  const auto shares =
-      prod.online("qk", as.client, as.server, bs.client, bs.server);
-  const MatI got = pc.ring.reconstruct({shares.client, shares.server});
+  prod.offline("qk", as.client, bs.client);  // nothing to precompute
+  const auto shares = prod.online("qk", as, bs);
+  const MatI got = pc.ring.reconstruct(shares);
   const MatI expect = a * b;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < m; ++j) {
@@ -121,6 +123,7 @@ TEST(CtCtProduct, SharesReconstructToMatrixProduct) {
   }
   // The baseline really does ciphertext-ciphertext multiplications online.
   EXPECT_GT(pc.costs.at("online", "qk").he_ct_mults, 0u);
+  EXPECT_EQ(pc.costs.all().count("offline"), 0u);
 }
 
 TEST(ChgsScores, MatchesMergedScoreComputation) {
@@ -141,7 +144,7 @@ TEST(ChgsScores, MatchesMergedScoreComputation) {
   chgs.offline("qk", r0);
   const MatI d0 = pc.ring.sub(pc.ring.reduce(x), r0);
   const auto shares = chgs.online("qk", d0);
-  const MatI got = pc.ring.reconstruct({shares.client, shares.server});
+  const MatI got = pc.ring.reconstruct(shares);
 
   // Reference: U = X*WE + pos (raw), scores = (U*wq) * (U*wk)^T, 4*frac.
   const MatI u = x * we + pos;

@@ -354,6 +354,25 @@ TEST(Serving, GracefulDrainCheckpointsInFlightWithinDeadline) {
   }
 }
 
+// A forced drain: under a zero deadline the running session cannot reach
+// its next checkpoint boundary in time, so drain() fires its cancel token
+// and the session stops at its next frame or step poll.
+TEST(Serving, ForcedDrainCancelsTheRunningSession) {
+  ServerConfig cfg;
+  cfg.workers = 1;
+  PrimerServer server({nano_spec()}, cfg);
+  const auto ticket = server.submit(request(1));
+  while (server.stats().in_flight == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const DrainReport report = server.drain(/*deadline_s=*/0.0);
+  EXPECT_FALSE(report.met_deadline);
+  EXPECT_EQ(report.forced, 1u);
+  EXPECT_EQ(report.drained_running, 1u);
+  const SessionOutcome o = ticket->wait();
+  EXPECT_EQ(o.status, SessionStatus::kDrained) << o.error;
+}
+
 // --- chaos soak cell (tools/server_chaos_soak.py) ----------------------------
 
 std::uint64_t env_u64_or(const char* name, std::uint64_t fallback) {
