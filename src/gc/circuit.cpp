@@ -295,24 +295,25 @@ Bus CircuitBuilder::mul(const Bus& a, const Bus& b, std::size_t out_width) {
   return acc;
 }
 
-Bus CircuitBuilder::div(const Bus& a, const Bus& b) {
+Bus CircuitBuilder::div(const Bus& a, const Bus& b,
+                        std::size_t quotient_bits) {
   // Restoring division, MSB-first.  rem accumulates one dividend bit per
-  // step; quotient bit = rem >= b.
-  const std::size_t w = a.size();
-  Bus rem = constant_bus(0, b.size() + 1);
+  // step; quotient bit = rem >= b.  Quotient bits from quotient_bits up are
+  // zero, so rem starts as a >> quotient_bits, which is then below b.
+  const std::size_t steps = std::min(a.size(), quotient_bits);
+  Bus rem = zero_extend(Bus(a.begin() + static_cast<long>(steps), a.end()),
+                        b.size() + 1);
   Bus bext = zero_extend(b, b.size() + 1);
-  Bus q(w);
-  for (std::size_t step = 0; step < w; ++step) {
-    const std::size_t bit = w - 1 - step;
+  Bus q(a.size(), zero());
+  for (std::size_t bit = steps; bit-- > 0;) {
     // rem = (rem << 1) | a[bit]
     Bus shifted(rem.size());
     shifted[0] = a[bit];
     for (std::size_t i = 1; i < rem.size(); ++i) shifted[i] = rem[i - 1];
     std::int32_t borrow = 0;
     Bus diff = sub(shifted, bext, &borrow);
-    const std::int32_t qbit = not_gate(borrow);
-    q[bit] = qbit;
-    rem = mux(qbit, diff, shifted);
+    q[bit] = not_gate(borrow);
+    if (bit > 0) rem = mux(q[bit], diff, shifted);
   }
   return q;
 }
@@ -361,14 +362,15 @@ Bus CircuitBuilder::add_mod(const Bus& a, const Bus& b, std::uint64_t p) {
 }
 
 Bus CircuitBuilder::sub_mod(const Bus& a, const Bus& b, std::uint64_t p) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("sub_mod: width mismatch");
-  }
-  const std::size_t w = a.size() + 1;
+  // a - b borrows exactly when it wraps below zero; p then comes back as
+  // p's bits masked by the borrow, free of gates.
   std::int32_t borrow = 0;
-  Bus d = sub(zero_extend(a, w), zero_extend(b, w), &borrow);
-  Bus fixed = add_const(d, p);
-  return truncate_bus(mux(borrow, fixed, d), a.size());
+  const Bus d = sub(a, b, &borrow);
+  Bus back(a.size());
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    back[i] = ((p >> i) & 1) ? borrow : zero();
+  }
+  return add(d, back);
 }
 
 void CircuitBuilder::set_outputs(const Bus& bus) {

@@ -147,8 +147,11 @@ class CircuitBuilder {
   // Schoolbook multiply, truncated to out_width bits.
   Bus mul(const Bus& a, const Bus& b, std::size_t out_width);
 
-  // Restoring unsigned division: quotient of a / b, width of a.
-  Bus div(const Bus& a, const Bus& b);
+  // Restoring unsigned division: quotient of a / b, width of a.  A caller
+  // that knows the quotient is below 2^quotient_bits passes it, and only
+  // that many steps run.
+  Bus div(const Bus& a, const Bus& b,
+          std::size_t quotient_bits = static_cast<std::size_t>(-1));
 
   // Width manipulation (free).
   Bus zero_extend(const Bus& a, std::size_t width);

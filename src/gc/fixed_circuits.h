@@ -24,30 +24,32 @@ namespace primer {
 // Width in bits of the share domain Z_t.
 std::size_t share_width(std::uint64_t t);
 
+// A two's-complement bus and the interval [lo, hi] of the values it can
+// carry.  The circuits size every bus from its interval: each op derives
+// its result's interval with checked int64 arithmetic and keeps only the
+// bits that interval needs, so only share reconstruction, embed_mod_t and
+// sub_mod run at ring width.  An interval that is empty, that leaves int64
+// or that its bus cannot hold throws std::logic_error while the circuit is
+// built.
 struct SignedBus {
-  Bus bits;  // two's complement
+  SignedBus(Bus bits, std::int64_t lo, std::int64_t hi);
+  // A bus that may carry any value of its width (1 to 64 bits).
+  explicit SignedBus(Bus bits);
+
+  Bus bits;
+  std::int64_t lo;
+  std::int64_t hi;
 };
 
 // Helpers exposed for testing --------------------------------------------
 
-// (share_a + share_b) mod t -> centered two's-complement value, width
-// share_width(t) + 1.
+// (share_a + share_b) mod t -> centered two's-complement value in
+// (-t/2, t/2], as fp_from_ring decodes it.
 SignedBus reconstruct_centered(CircuitBuilder& b, const Bus& sa, const Bus& sb,
                                std::uint64_t t);
 
-// Signed value -> residue mod t in [0, t).
+// Signed value in [-t, t) -> residue mod t in [0, t), share_width(t) bits.
 Bus embed_mod_t(CircuitBuilder& b, const SignedBus& v, std::uint64_t t);
-
-// Arithmetic shift right (fixed-point truncation after multiplications).
-SignedBus truncate_frac(CircuitBuilder& b, const SignedBus& v,
-                        std::size_t frac_bits);
-
-// max(v, 0).
-SignedBus relu_signed(CircuitBuilder& b, const SignedBus& v);
-
-// Signed max of two values.
-SignedBus max_signed(CircuitBuilder& b, const SignedBus& x,
-                     const SignedBus& y);
 
 // Piecewise-linear fixed-point approximation of f over [lo, hi] with 2^k
 // equal segments; input/output in the given fixed-point format.  Used for
@@ -60,6 +62,7 @@ struct PwlSpec {
   double (*fn)(double) = nullptr;
 };
 
+// The result keeps x's bus width when it is wider than the output needs.
 SignedBus pwl_apply(CircuitBuilder& b, const SignedBus& x, const PwlSpec& spec,
                     const FixedPointFormat& fmt);
 
@@ -129,9 +132,5 @@ struct LayerNormCircuitSpec {
 // Input layout: [garbler: acc shares (d), residual shares (d)]
 //               [evaluator: acc shares (d), residual shares (d), Rc (d)].
 Circuit make_layernorm_circuit(const LayerNormCircuitSpec& spec);
-
-// Signed truncating (toward zero) division by a constant — exposed for the
-// layer-norm circuit tests.
-SignedBus sdiv_const(CircuitBuilder& b, const SignedBus& v, std::uint64_t d);
 
 }  // namespace primer

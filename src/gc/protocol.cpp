@@ -178,7 +178,7 @@ void GcSession::offline(std::shared_ptr<const Circuit> circuit,
         channel_.recv_expect(Party::kClient, MessageKind::kGcDecodeBits),
         gc_.output_labels0.size());
   }
-  ot_.setup();  // once per OT: part of the first stage's offline phase
+  ot_.setup();  // once per OT; a no-op after the protocol's ot_setup step
   offline_done_ = true;
 }
 

@@ -413,6 +413,9 @@ PrimerRunResult PrimerEngine::run_protocol(
   }
 
   // --- GC stages ----------------------------------------------------------
+  // Every stage's OT shares the session's one setup.  It gets a step of its
+  // own rather than riding on whichever stage garbles first.
+  pc.step(off, "ot_setup", [&] { pc.ot.setup(); });
   const ModelCircuits& gc = *circuits_;
   auto garble = [&](const ModelCircuits::Ptr& circuit, const std::string& step,
                     RevealTo reveal = RevealTo::kGarbler) {

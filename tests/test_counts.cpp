@@ -30,25 +30,31 @@ struct Counts {
 
 // BERT-nano, Primer-FP, kProd8192 (the nano-prod-fp shape).
 constexpr Counts kNanoProdFp[] = {
-    {297042174, 104, 84, 330, 1020, 427, 0, 2271102, 72675264},
-    {90586584, 103, 84, 241, 1020, 427, 0, 2271102, 72675264},
+    {238522934, 102, 84, 273, 1020, 427, 0, 442447, 14158304},
+    {32067344, 102, 84, 184, 1020, 427, 0, 442447, 14158304},
 };
 // 2-block BERT-nano, Primer-FPC, kProto2048 (the nano2-proto-fpc shape).
 constexpr Counts kNano2ProtoFpc[] = {
-    {170095033, 192, 160, 503, 1016, 1088, 0, 4131900, 132220800},
-    {143839103, 191, 160, 457, 1016, 1088, 0, 4131900, 132220800},
+    {62147785, 190, 160, 373, 1016, 1088, 0, 758711, 24278752},
+    {35891855, 190, 160, 327, 1016, 1088, 0, 758711, 24278752},
 };
 
 // BERT-nano, Primer-base, kProto2048: every step online, key transfer too.
 constexpr Counts kNanoProtoBase[] = {
-    {108294321, 94, 94, 282, 1248, 1655, 96, 2157036, 69025152},
-    {89118631, 93, 93, 248, 1248, 1655, 96, 2157036, 69025152},
+    {52999721, 92, 92, 225, 1248, 1655, 96, 429151, 13732832},
+    {33824031, 92, 92, 191, 1248, 1655, 96, 429151, 13732832},
 };
 // BERT-nano, Primer-F, kProto2048.
 constexpr Counts kNanoProtoF[] = {
-    {102393337, 104, 84, 287, 718, 1391, 0, 2157036, 69025152},
-    {76137407, 103, 84, 241, 718, 1391, 0, 2157036, 69025152},
+    {47098737, 102, 84, 230, 718, 1391, 0, 429151, 13732832},
+    {20842807, 102, 84, 184, 718, 1391, 0, 429151, 13732832},
 };
+
+// The session's one OT setup (128 base OTs, 96 B each, in one frame each
+// way) is a step of its own: offline, or online under Primer-base.  It runs
+// just before the first garbled table, so it takes two flights of its own,
+// or one when its client frame rides the key transfer's flight.
+constexpr std::uint64_t kOtSetupBytes = 12336;
 
 Counts counts_of(const PrimerRunResult& r) {
   const PhaseCost online = r.costs.phase_total("online");
@@ -68,7 +74,8 @@ void expect_counts(const BertConfig& cfg, PrimerVariant variant,
                                                          {30, 0, 12, 5}};
   for (std::size_t run = 0; run < queries.size(); ++run) {
     SCOPED_TRACE(cfg.name + " run " + std::to_string(run + 1));
-    const Counts got = counts_of(engine.run(queries[run]));
+    const PrimerRunResult r = engine.run(queries[run]);
+    const Counts got = counts_of(r);
     const Counts& w = want[run];
     EXPECT_EQ(got.bytes, w.bytes);
     EXPECT_EQ(got.rounds, w.rounds);
@@ -79,6 +86,12 @@ void expect_counts(const BertConfig& cfg, PrimerVariant variant,
     EXPECT_EQ(got.ct_mults, w.ct_mults);
     EXPECT_EQ(got.and_gates, w.and_gates);
     EXPECT_EQ(got.table_bytes, w.table_bytes);
+    const PhaseCost& ot = r.costs.all()
+                              .at(variant == PrimerVariant::kBase ? "online"
+                                                                  : "offline")
+                              .at("ot_setup");
+    EXPECT_EQ(ot.bytes_sent, kOtSetupBytes);
+    EXPECT_EQ(ot.rounds, run == 0 ? 1u : 2u);
   }
 }
 
@@ -94,9 +107,9 @@ struct ServeCounts {
 // engine, so both fresh requests ship the keys; the repeat resumes at the
 // last checkpoint and replays every frame before it at zero wire cost.
 constexpr ServeCounts kServeMixed[] = {
-    {102393413, 106, 84, 289, 0, 0, 76, 0},
-    {13292, 4, 2, 289, 284, 102380161, 116, 5},
-    {102393413, 106, 84, 289, 0, 0, 76, 0},
+    {47098813, 104, 84, 232, 0, 0, 76, 0},
+    {13292, 4, 2, 232, 227, 47085561, 116, 5},
+    {47098813, 104, 84, 232, 0, 0, 76, 0},
 };
 
 TEST(TranscriptCounts, NanoProdFp) {

@@ -1,7 +1,8 @@
 // Tests for the fixed-point share circuits: reconstruction/centering,
 // truncation, ReLU/GELU/identity activation circuits, PWL approximation
 // quality, and the exact-softmax circuit — each validated against the int64
-// reference semantics and (for small cases) under real garbling.
+// reference semantics and (for small cases) under real garbling — plus the
+// build-time checks of the value intervals that size every bus.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -74,6 +75,26 @@ TEST(FixedCircuits, EmbedInvertsCenter) {
     in.insert(in.end(), in2.begin(), in2.end());
     EXPECT_EQ(bits_to_value(eval_circuit(c, in)), fp_to_ring(val, kT));
   }
+}
+
+// An interval that is empty, that its bus cannot hold or that leaves int64
+// is an error while the circuit is built, never a wrap inside it.
+TEST(FixedCircuits, BadIntervalsFailAtBuild) {
+  CircuitBuilder b;
+  const Bus in = b.add_input_bus(kW + 2);
+  EXPECT_THROW(SignedBus(in, 5, 4), std::logic_error);
+  EXPECT_THROW(SignedBus(Bus(in.begin(), in.begin() + 3), -5, 3),
+               std::logic_error);
+  // A (kW + 2)-bit value may exceed t: no residue mod t to embed it as.
+  EXPECT_THROW(embed_mod_t(b, SignedBus(in), kT), std::logic_error);
+
+  LayerNormCircuitSpec spec;
+  spec.t = kT;
+  spec.d = 4;
+  spec.frac_shift = 8;
+  spec.gamma.assign(4, std::int64_t{1} << 62);  // gamma * 16383 leaves int64
+  spec.beta.assign(4, 0);
+  EXPECT_THROW(make_layernorm_circuit(spec), std::logic_error);
 }
 
 TEST(FixedCircuits, PwlExpAccuracy) {

@@ -1,7 +1,8 @@
 // Property-style sweeps (TEST_P) across the substrates' parameter spaces:
 // HE homomorphism at several moduli, share-circuit round trips at several
 // plaintext moduli and widths, fixed-softmax invariants across shift/size
-// combinations, and a smoke test at the full 128-bit-secure parameters.
+// combinations, the fixed circuits against their references at the widest
+// shipped shapes, and a smoke test at the full 128-bit-secure parameters.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +11,7 @@
 #include "gc/protocol.h"
 #include "he/encoder.h"
 #include "he/he.h"
+#include "nn/model.h"
 #include "ss/secret_share.h"
 
 namespace primer {
@@ -229,6 +231,205 @@ TEST(GarbledProtocolCircuits, LayerNormGarbledMatchesPlain) {
     EXPECT_EQ(garbled_eval(c, in, rng), eval_circuit(c, in));
   }
 }
+
+// ---------------------------------------------------------------------------
+// Interval-sized circuits equal their references at the widest shapes
+// ---------------------------------------------------------------------------
+
+// Every bus inside a fixed circuit is sized from the interval of the values
+// it can carry, so a too-narrow bus would wrap only at the edges of that
+// interval.  This sweep drives those edges at the widest shipped shapes
+// (BERT-base: d = 768, 128 tokens) and at d = 1024, across the plaintext
+// moduli the profiles use: saturation at +-16384 and 16383, one past each
+// clamp threshold, half/half and constant rows (variance 0), and the ring
+// extremes +-t/2.
+class WidestCircuitShapes : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  std::uint64_t t() const { return GetParam(); }
+  std::int64_t ring_hi() const { return static_cast<std::int64_t>(t() / 2); }
+  std::int64_t ring_lo() const {
+    return ring_hi() + 1 - static_cast<std::int64_t>(t());
+  }
+  // The value the circuit sees once v is shared mod t.
+  std::int64_t centered(std::int64_t v) const {
+    return fp_from_ring(fp_to_ring(v, t()), t());
+  }
+
+  // Runs `c` on fresh additive shares of each block of values, laid out as
+  // [garbler shares of every block | evaluator shares of every block | Rc],
+  // and returns the unmasked, centered outputs.
+  std::vector<std::int64_t> run(
+      const Circuit& c, const std::vector<std::vector<std::int64_t>>& blocks) {
+    const std::size_t w = share_width(t());
+    std::vector<bool> g, e, r;
+    auto put = [&](std::vector<bool>& bits, std::uint64_t v) {
+      const auto vb = value_to_bits(v, w);
+      bits.insert(bits.end(), vb.begin(), vb.end());
+    };
+    for (const auto& block : blocks) {
+      for (const auto v : block) {
+        const std::uint64_t share = rng_.uniform(t());
+        put(g, share);
+        put(e, (fp_to_ring(v, t()) + t() - share) % t());
+      }
+    }
+    std::vector<std::uint64_t> rcs(c.outputs.size() / w);
+    for (auto& rc : rcs) {
+      rc = rng_.uniform(t());
+      put(r, rc);
+    }
+    g.insert(g.end(), e.begin(), e.end());
+    g.insert(g.end(), r.begin(), r.end());
+    const auto out = eval_circuit(c, g);
+    std::vector<std::int64_t> got(rcs.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const std::vector<bool> bits(
+          out.begin() + static_cast<long>(i * w),
+          out.begin() + static_cast<long>((i + 1) * w));
+      got[i] = fp_from_ring((bits_to_value(bits) + rcs[i]) % t(), t());
+    }
+    return got;
+  }
+
+  Rng rng_{2026};
+};
+
+TEST_P(WidestCircuitShapes, ActivationsMatchReferenceAtEdges) {
+  const FixedPointFormat fmt;
+  std::vector<std::int64_t> vals = {0, 1, -1, ring_lo(), ring_hi(),
+                                    ring_lo() + 1, ring_hi() - 1};
+  // One past each clamp threshold, before and after the 8-bit truncation:
+  // saturation at 16383/-16384, the GELU table's [-1024, 1023] and its
+  // GELU(x) = x cut-over above 1024.
+  for (const std::int64_t edge : {16383, 16384, -16384, -16385, 1023, 1024,
+                                  1025, -1024, -1025}) {
+    vals.push_back(edge);
+    vals.push_back(edge * 256);
+    vals.push_back(edge * 256 + 255);
+    vals.push_back(edge * 256 - 1);
+  }
+  for (const Activation act :
+       {Activation::kIdentity, Activation::kRelu, Activation::kGelu}) {
+    for (const std::size_t shift : {std::size_t{0}, std::size_t{8}}) {
+      ActivationCircuitSpec spec;
+      spec.t = t();
+      spec.count = vals.size();
+      spec.frac_shift = shift;
+      spec.act = act;
+      const auto got = run(make_activation_circuit(spec), {vals});
+      for (std::size_t i = 0; i < vals.size(); ++i) {
+        EXPECT_EQ(got[i],
+                  activation_reference(centered(vals[i]), shift, act, fmt))
+            << "act " << static_cast<int>(act) << " shift " << shift
+            << " value " << vals[i];
+      }
+    }
+  }
+}
+
+TEST_P(WidestCircuitShapes, SoftmaxRowsMatchReferenceAtEdges) {
+  const FixedPointFormat fmt;
+  for (const std::size_t n : {std::size_t{30}, std::size_t{128}}) {
+    for (const std::size_t shift : {std::size_t{8}, std::size_t{24}}) {
+      const std::int64_t unit = std::int64_t{1} << shift;
+      std::vector<std::vector<std::int64_t>> rows;
+      rows.emplace_back(n, 16383 * unit);  // constant row
+      rows.emplace_back(n, ring_lo());
+      std::vector<std::int64_t> half(n, -16384 * unit);
+      std::fill(half.begin(), half.begin() + static_cast<long>(n / 2),
+                16383 * unit);
+      rows.push_back(half);
+      // One max, the rest one past the exp table's -8.0 (raw -2048) below
+      // it, or at it, or saturating.
+      std::vector<std::int64_t> edge(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::int64_t below[] = {-2048, -2049, -2047, -1, -16384, 16384};
+        edge[i] = (i == 0 ? 0 : below[i % 6]) * unit;
+      }
+      rows.push_back(edge);
+      std::vector<std::int64_t> extremes(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        extremes[i] = i % 2 ? ring_hi() : ring_lo();
+      }
+      rows.push_back(extremes);
+      std::vector<std::int64_t> random(n);
+      for (auto& v : random) v = rng_.uniform_int(ring_lo(), ring_hi());
+      rows.push_back(random);
+
+      SoftmaxCircuitSpec spec;
+      spec.t = t();
+      spec.count = n;
+      spec.frac_shift = shift;
+      const Circuit c = make_softmax_circuit(spec);
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        std::vector<std::int64_t> seen(n);
+        for (std::size_t i = 0; i < n; ++i) seen[i] = centered(rows[r][i]);
+        EXPECT_EQ(run(c, {rows[r]}), fixed_softmax_reference(seen, shift, fmt))
+            << "n " << n << " shift " << shift << " row " << r;
+      }
+    }
+  }
+}
+
+TEST_P(WidestCircuitShapes, LayerNormRowsMatchReferenceAtEdges) {
+  const FixedPointFormat fmt;
+  for (const std::size_t d : {std::size_t{768}, std::size_t{1024}}) {
+    LayerNormCircuitSpec spec;
+    spec.t = t();
+    spec.d = d;
+    spec.frac_shift = 8;
+    for (std::size_t i = 0; i < d; ++i) {
+      spec.gamma.push_back(i % 4 == 0 ? fp_encode(1.0)
+                                      : rng_.uniform_int(-2048, 2048));
+      spec.beta.push_back(rng_.uniform_int(-4096, 4096));
+    }
+    const Circuit c = make_layernorm_circuit(spec);
+
+    // (acc, residual) rows.  Alternating +16383/-16384 residuals give the
+    // largest variance sum, about d * 2^20.
+    std::vector<std::pair<std::vector<std::int64_t>, std::vector<std::int64_t>>>
+        rows;
+    const std::vector<std::int64_t> zero(d, 0);
+    std::vector<std::int64_t> alternating(d), half(d, -16384);
+    std::vector<std::int64_t> one_up(d, -16384);
+    for (std::size_t i = 0; i < d; ++i) alternating[i] = i % 2 ? -16384 : 16383;
+    std::fill(half.begin(), half.begin() + static_cast<long>(d / 2), 16383);
+    one_up[d / 3] = 16383;
+    rows.emplace_back(zero, alternating);
+    rows.emplace_back(zero, half);
+    rows.emplace_back(zero, one_up);
+    rows.emplace_back(zero, std::vector<std::int64_t>(d, 16383));   // var 0
+    rows.emplace_back(std::vector<std::int64_t>(d, -16384 * 256), zero);
+    std::vector<std::int64_t> acc_edge(d), res_extreme(d);
+    for (std::size_t i = 0; i < d; ++i) {
+      const std::int64_t past[] = {16384 * 256, 16384 * 256 - 1, -16385 * 256,
+                                   -16384 * 256, ring_hi(), ring_lo()};
+      acc_edge[i] = past[i % 6];
+      res_extreme[i] = i % 3 == 0 ? ring_hi() : (i % 3 == 1 ? ring_lo() : 0);
+    }
+    rows.emplace_back(acc_edge, alternating);
+    rows.emplace_back(acc_edge, res_extreme);
+
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const auto& [acc, res] = rows[r];
+      std::vector<std::int64_t> s(d);
+      for (std::size_t i = 0; i < d; ++i) {
+        s[i] = fp_saturate(fp_saturate(centered(acc[i]) >> 8, fmt) +
+                               centered(res[i]),
+                           fmt);
+      }
+      EXPECT_EQ(run(c, {acc, res}),
+                fixed_layernorm_row(s, spec.gamma, spec.beta, fmt))
+          << "d " << d << " row " << r;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Moduli, WidestCircuitShapes,
+    ::testing::Values(1032193ULL,  // ~2^20, as kTest2048 and kLight4096
+                      make_params(HeProfile::kProto2048).t,
+                      make_params(HeProfile::kProd8192).t));
 
 }  // namespace
 }  // namespace primer
