@@ -343,7 +343,7 @@ void bench_packed_matmul(std::size_t threads, const Options& opt) {
   const std::size_t tokens = 8, d_in = 64, d_out = 32;
   PackedMatmul mm(ctx, encoder, eval, PackingStrategy::kTokensFirst);
   const GaloisKeys gk =
-      keygen.make_galois_keys(mm.rotation_steps(tokens));
+      keygen.make_galois_keys(mm.rotation_steps(tokens, d_in, d_out));
   const ShareRing ring(ctx.t());
   const MatI x = ring.random(rng, tokens, d_in);
   const MatI w = random_fp_matrix(rng, d_in, d_out, -1.0, 1.0);

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   for (const auto strategy :
        {PackingStrategy::kFeatureBased, PackingStrategy::kTokensFirst}) {
     const PackedMatmul mm(ctx, encoder, eval, strategy);
-    for (const int s : mm.rotation_steps(8)) gk_steps.push_back(s);
+    for (const int s : mm.rotation_steps(8, 64, 16)) gk_steps.push_back(s);
   }
   const auto gk = keygen.make_galois_keys(gk_steps);
   const ShareRing ring(ctx.t());

@@ -28,7 +28,7 @@ int main() {
   for (const auto strategy :
        {PackingStrategy::kFeatureBased, PackingStrategy::kTokensFirst}) {
     const PackedMatmul mm(ctx, encoder, eval, strategy);
-    for (const int s : mm.rotation_steps(n)) steps.push_back(s);
+    for (const int s : mm.rotation_steps(n, d_in, d_out)) steps.push_back(s);
   }
   const auto gk = keygen.make_galois_keys(steps);
   const MatI x = ring.random(rng, n, d_in);

@@ -223,7 +223,11 @@ ChgsScores::ChgsScores(ProtocolContext& pc, std::size_t tokens, const MatI& we,
     : pc_(pc), n_(tokens), we_(pc.ring.reduce(we)),
       pos_(pc.ring.reduce(pos)),
       mm_(pc.he, pc.encoder, pc.eval, PackingStrategy::kTokensFirst) {
-  pc_.keys.ensure_rotation_steps(mm_.rotation_steps(n_));
+  // Every product over Enc(R0) (n x D, D = we.rows()) is D x D (W_M) or
+  // D x n (S^T and both online terms).
+  const std::size_t d = we_.rows();
+  pc_.keys.ensure_rotation_steps(mm_.rotation_steps(n_, d, d));
+  pc_.keys.ensure_rotation_steps(mm_.rotation_steps(n_, d, n_));
   // Wqk = wq_h * wk_h^T in the ring (2*frac domain).
   wqk_ = pc_.ring.mul(pc_.ring.reduce(wq_h),
                       transpose_ring(pc_.ring.reduce(wk_h)));

@@ -47,8 +47,9 @@ class FhgsProduct : public ProductProtocol {
       : pc_(pc), n_(n), k_(k), m_(m),
         mm_a_(pc.he, pc.encoder, pc.eval, PackingStrategy::kTokensFirst),
         mm_bt_(pc.he, pc.encoder, pc.eval, PackingStrategy::kTokensFirst) {
-    pc_.keys.ensure_rotation_steps(mm_a_.rotation_steps(n_));
-    pc_.keys.ensure_rotation_steps(mm_bt_.rotation_steps(m_));
+    // Enc(Ra) * Db (k x m) at n tokens; Enc(Rb^T) * Da^T (k x n) at m.
+    pc_.keys.ensure_rotation_steps(mm_a_.rotation_steps(n_, k_, m_));
+    pc_.keys.ensure_rotation_steps(mm_bt_.rotation_steps(m_, k_, n_));
   }
 
   // The client sends the triple Enc(Ra), Enc(Rb^T), Enc(Ra*Rb).

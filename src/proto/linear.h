@@ -43,7 +43,8 @@ class HgsLinear : public LinearProtocol {
             std::size_t tokens, PackingStrategy strategy)
       : pc_(pc), w_(std::move(w)), bias_(std::move(bias)), tokens_(tokens),
         mm_(pc.he, pc.encoder, pc.eval, strategy) {
-    pc_.keys.ensure_rotation_steps(mm_.rotation_steps(tokens_));
+    pc_.keys.ensure_rotation_steps(
+        mm_.rotation_steps(tokens_, w_.rows(), w_.cols()));
   }
 
   // The client's share of X*W is fixed here: Rc*W - Rs.
@@ -70,7 +71,8 @@ class BaseLinear : public LinearProtocol {
              std::size_t tokens, PackingStrategy strategy)
       : pc_(pc), w_(std::move(w)), bias_(std::move(bias)), tokens_(tokens),
         mm_(pc.he, pc.encoder, pc.eval, strategy) {
-    pc_.keys.ensure_rotation_steps(mm_.rotation_steps(tokens_));
+    pc_.keys.ensure_rotation_steps(
+        mm_.rotation_steps(tokens_, w_.rows(), w_.cols()));
   }
 
   // Fully online: nothing to precompute.

@@ -1,6 +1,7 @@
 #include "proto/packing.h"
 
 #include <stdexcept>
+#include <tuple>
 
 #include "common/fixed_point.h"
 #include "common/parallel.h"
@@ -32,6 +33,49 @@ bool all_zero(const std::vector<u64>& v) {
   return true;
 }
 
+// Single source of truth for a product's BSGS schedule: multiply(),
+// rotation_steps() and packed_matmul_counts() all read it, so the key set,
+// the execution and the cost model cannot disagree.
+//
+// Alignment k moves input block (b + k) mod `period` into output block b
+// (tokens-first: period = fpc blocks of `tokens` slots; feature-based:
+// period = row blocks of one slot).  When a tokens-first product's
+// d_in + d_out - 1 < fpc, it has one input and one output ciphertext, and
+// only k in [-(d_out-1), d_in-1] puts a feature into a read output block;
+// every other product runs the whole period [0, period).  The window's
+// alignment k = lo + h*n1 + g is baby g (a hoisted rotation by (lo+g)*step)
+// under giant h (h rotations by n1*step).
+struct BsgsSchedule {
+  std::size_t period = 1;          // distinct alignments of the packing
+  int lo = 0;                      // the window is lo, ..., lo+size-1
+  std::size_t size = 1;
+  std::size_t n1 = 1, n2 = 1;
+  int step = 1;                    // slots per alignment
+  std::vector<int> baby;           // (lo+g)*step for g in [0, n1)
+  std::size_t baby_rotations = 0;  // the nonzero ones: key-switches
+};
+
+BsgsSchedule bsgs_schedule(PackingStrategy strategy, std::size_t tokens,
+                           std::size_t d_in, std::size_t d_out,
+                           std::size_t row) {
+  BsgsSchedule s;
+  const bool tokens_first = strategy == PackingStrategy::kTokensFirst;
+  s.step = tokens_first ? static_cast<int>(tokens) : 1;
+  s.period = tokens_first ? std::max<std::size_t>(1, row / tokens) : row;
+  s.size = s.period;
+  if (tokens_first && d_out > 0 && d_in + d_out <= s.period) {
+    s.lo = -static_cast<int>(d_out - 1);
+    s.size = d_in + d_out - 1;
+  }
+  std::tie(s.n1, s.n2) = bsgs_split(s.size);
+  for (std::size_t g = 0; g < s.n1; ++g) {
+    const int k = s.lo + static_cast<int>(g);
+    s.baby.push_back(k * s.step);
+    if (k != 0) ++s.baby_rotations;
+  }
+  return s;
+}
+
 }  // namespace
 
 std::pair<std::size_t, std::size_t> bsgs_split(std::size_t iters) {
@@ -46,31 +90,36 @@ PackedMatmulStats packed_matmul_counts(PackingStrategy strategy,
                                        std::size_t tokens, std::size_t d_in,
                                        std::size_t d_out, std::size_t slots) {
   // Key-switch accounting follows the BSGS execution: per input ciphertext,
-  // n1-1 hoisted baby rotations shared by every output chain, plus n2-1
-  // giant rotations per (input, output) chain — n1+n2 key-switches per
-  // rotation set instead of the n1*n2 of the sequential walk.  Plaintext
-  // multiplications still scale with alignments times output ciphertexts.
+  // the nonzero hoisted baby rotations shared by every output chain, plus
+  // n2-1 giant rotations per (input, output) chain — n1+n2 key-switches
+  // per rotation set instead of the n1*n2 of the sequential walk.
   PackedMatmulStats s;
   const std::size_t m = slots;
-  std::size_t cts, iters, k;
+  const BsgsSchedule sched = bsgs_schedule(strategy, tokens, d_in, d_out, m);
   if (strategy == PackingStrategy::kTokensFirst) {
-    const std::size_t fpc = std::max<std::size_t>(1, m / tokens);
-    cts = (d_in + fpc - 1) / fpc;
-    iters = fpc;
-    k = std::min(fpc, d_in);
+    const std::size_t fpc = sched.period;
+    s.input_ciphertexts = (d_in + fpc - 1) / fpc;
+    s.output_ciphertexts = (d_out + fpc - 1) / fpc;
+    // One multiply per alignment whose mask can be nonzero: an input
+    // ciphertext holding d_in' features meets an output ciphertext holding
+    // d_out' outputs at min(fpc, d_in' + d_out' - 1) alignments.
+    for (std::size_t ci = 0; ci < s.input_ciphertexts; ++ci) {
+      const std::size_t in = std::min(fpc, d_in - ci * fpc);
+      for (std::size_t oc = 0; oc < s.output_ciphertexts; ++oc) {
+        const std::size_t out = std::min(fpc, d_out - oc * fpc);
+        s.plain_mults += std::min(fpc, in + out - 1);
+      }
+    }
   } else {
-    cts = (tokens * d_in + m - 1) / m;
-    iters = m;
-    k = m;
+    s.input_ciphertexts = (tokens * d_in + m - 1) / m;
+    s.output_ciphertexts = (tokens * d_out + m - 1) / m;
+    s.plain_mults = s.input_ciphertexts * m * s.output_ciphertexts;
   }
-  s.input_ciphertexts = cts;
-  s.output_ciphertexts = (tokens * d_out + m - 1) / m;
-  const auto [n1, n2] = bsgs_split(iters);
-  s.baby_rotations = cts * (n1 - 1);
-  s.giant_rotations = cts * s.output_ciphertexts * (n2 - 1);
+  s.baby_rotations = s.input_ciphertexts * sched.baby_rotations;
+  s.giant_rotations =
+      s.input_ciphertexts * s.output_ciphertexts * (sched.n2 - 1);
   s.rotations = s.baby_rotations + s.giant_rotations;
-  s.naive_rotations = cts * (iters - 1);
-  s.plain_mults = cts * k * s.output_ciphertexts;
+  s.naive_rotations = s.input_ciphertexts * (sched.period - 1);
   s.adds = s.plain_mults;
   return s;
 }
@@ -79,24 +128,22 @@ PackedMatmul::PackedMatmul(const HeContext& ctx, const BatchEncoder& encoder,
                            const Evaluator& eval, PackingStrategy strategy)
     : ctx_(ctx), encoder_(encoder), eval_(eval), strategy_(strategy) {}
 
-int PackedMatmul::rotation_step(std::size_t tokens) const {
-  return strategy_ == PackingStrategy::kTokensFirst ? static_cast<int>(tokens)
-                                                    : 1;
+std::vector<int> PackedMatmul::rotation_steps(std::size_t tokens,
+                                              std::size_t d_in,
+                                              std::size_t d_out) const {
+  const BsgsSchedule s =
+      bsgs_schedule(strategy_, tokens, d_in, d_out, encoder_.row_size());
+  std::vector<int> steps;
+  for (const int b : s.baby) {
+    if (b != 0) steps.push_back(b);
+  }
+  if (s.n2 > 1) steps.push_back(static_cast<int>(s.n1) * s.step);
+  return steps;
 }
 
 std::vector<int> PackedMatmul::rotation_steps(std::size_t tokens) const {
   const std::size_t row = encoder_.row_size();
-  const std::size_t iters =
-      strategy_ == PackingStrategy::kTokensFirst ? row / tokens : row;
-  const auto [n1, n2] = bsgs_split(iters);
-  const int step = rotation_step(tokens);
-  std::vector<int> steps;
-  for (std::size_t g = 1; g < n1; ++g) {
-    steps.push_back(static_cast<int>(g) * step);
-  }
-  if (n2 > 1) steps.push_back(static_cast<int>(n1) * step);
-  if (steps.empty()) steps.push_back(step);  // degenerate single-alignment
-  return steps;
+  return rotation_steps(tokens, row, row);
 }
 
 std::vector<Ciphertext> PackedMatmul::encrypt_input(
@@ -163,42 +210,37 @@ std::vector<Ciphertext> PackedMatmul::multiply(
   const std::size_t out_cts = (d_out + fpc - 1) / fpc;
   local.output_ciphertexts = out_cts;
 
-  const std::size_t iters =
-      strategy_ == PackingStrategy::kTokensFirst ? fpc : row;
-  const int step = rotation_step(n);
-  const auto [n1, n2] = bsgs_split(iters);
+  const BsgsSchedule sched = bsgs_schedule(strategy_, n, d_in, d_out, row);
+  const std::size_t n1 = sched.n1;
+  const std::size_t n2 = sched.n2;
+  const int step = sched.step;
+  // Window entry a is alignment lo + a; since -lo < period, its residue
+  // mod period is (a + lo_shift) % period in unsigned arithmetic.
+  const std::size_t lo_shift =
+      sched.period - static_cast<std::size_t>(-sched.lo);
 
-  // Baby-step/giant-step over the alignment index a = h*n1 + g:
-  //   result = sum_a rot_{a*step}(in) * P_a
-  //          = sum_h rot_{h*n1*step}( sum_g rot_{g*step}(in) * Q_{h,g} )
-  // with Q_{h,g} = P_{h*n1+g} pre-rotated right by h*n1*step.  The n1 baby
+  // Baby-step/giant-step over the window's alignments k = lo + h*n1 + g:
+  //   result = sum_k rot_{k*step}(in) * P_k
+  //          = sum_h rot_{h*n1*step}( sum_g rot_{(lo+g)*step}(in) * Q_{h,g} )
+  // with Q_{h,g} = P_k pre-rotated right by h*n1*step.  The n1 baby
   // rotations of each input ciphertext are HOISTED (one digit decomposition
   // for the whole set) and shared by every output chain; each chain then
-  // pays n2-1 giant rotations of its partial sums — n1+n2 key-switches per
-  // input ciphertext instead of the n1*n2 of the sequential Horner walk.
-  // The summands are exact ring values, so the decrypted output is
-  // identical to the sequential order's.
+  // pays n2-1 giant rotations of its partial sums — about n1+n2
+  // key-switches per input ciphertext instead of the n1*n2 of the
+  // sequential Horner walk.  The summands are exact ring values, so the
+  // decrypted output is identical to the sequential order's.
   std::vector<Ciphertext> result(out_cts);
   std::vector<std::uint8_t> result_set(out_cts, 0);
   std::vector<PackedMatmulStats> oc_stats(out_cts);
 
   for (std::size_t ci = 0; ci < packed.size(); ++ci) {
     // What the sequential Horner walk would have paid for this ciphertext.
-    local.naive_rotations += iters - 1;
-    // Baby rotations rot_{g*step}(in) for g = 0..n1-1, hoisted.
-    std::vector<Ciphertext> rots;
-    rots.reserve(n1);
-    rots.push_back(packed[ci]);
-    if (n1 > 1) {
-      std::vector<int> baby_steps;
-      for (std::size_t g = 1; g < n1; ++g) {
-        baby_steps.push_back(static_cast<int>(g) * step);
-      }
-      auto baby = eval_.rotate_rows_many(packed[ci], baby_steps, gk);
-      for (auto& r : baby) rots.push_back(std::move(r));
-      local.rotations += n1 - 1;
-      local.baby_rotations += n1 - 1;
-    }
+    local.naive_rotations += sched.period - 1;
+    // Baby rotations rot_{(lo+g)*step}(in) for g = 0..n1-1, hoisted; the
+    // zero step is a copy of the input.
+    const auto rots = eval_.rotate_rows_many(packed[ci], sched.baby, gk);
+    local.rotations += sched.baby_rotations;
+    local.baby_rotations += sched.baby_rotations;
 
     // Each output ciphertext accumulates an independent giant-step chain
     // over the shared baby rotations; per-oc stats merge in order below so
@@ -217,8 +259,9 @@ std::vector<Ciphertext> PackedMatmul::multiply(
         const std::size_t pre_rot =
             h * n1 * static_cast<std::size_t>(step) % row;
         for (std::size_t g = 0; g < n1; ++g) {
-          const std::size_t k = h * n1 + g;
-          if (k >= iters) break;
+          const std::size_t a = h * n1 + g;
+          if (a >= sched.size) break;
+          const std::size_t k = (a + lo_shift) % sched.period;
           // Mask P_k: target slot layout is block b <-> output
           // o = oc*fpc + b, slot b*n + i <-> token i.
           std::vector<u64> mask(row, 0);

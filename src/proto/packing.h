@@ -12,6 +12,11 @@
 //   tokens-first  : feature j of all n tokens shares a slot block, so only
 //                   block-granular alignments are needed  ->  c * M/n.
 //
+// The live execution walks the alignments with baby steps and giant steps
+// (BSGS), and a tokens-first product whose d_in + d_out - 1 < M/n walks
+// only the d_in + d_out - 1 alignments that can move data: the diagonals
+// of the Halevi-Shoup method that cross the d_in x d_out matrix.
+//
 // Data occupies the first batching row (M = poly_degree / 2 slots) so that
 // Rotate == rotate_rows, matching SEAL semantics.
 #pragma once
@@ -54,8 +59,8 @@ struct PackedMatmulStats {
 };
 
 // Baby-step/giant-step split of an `iters`-alignment rotation set: returns
-// (n1, n2) with n1*n2 >= iters and n1 ~ sqrt(iters), so the set costs
-// (n1-1) hoisted baby key-switches plus (n2-1) giant key-switches per
+// (n1, n2) with n1*n2 >= iters and n1 ~ sqrt(iters), so the set costs at
+// most n1 hoisted baby key-switches plus (n2-1) giant key-switches per
 // output chain instead of iters-1 sequential ones.
 std::pair<std::size_t, std::size_t> bsgs_split(std::size_t iters);
 
@@ -91,11 +96,13 @@ class PackedMatmul {
                       const Decryptor& dec, std::size_t tokens,
                       std::size_t d_out) const;
 
-  // Rotation step the strategy aligns by (baby steps are its multiples).
-  int rotation_step(std::size_t tokens) const;
+  // Rotation steps multiply() needs Galois keys for on a d_in x d_out
+  // product at `tokens` tokens: the nonzero BSGS baby steps of its
+  // alignment window plus the single giant step.
+  std::vector<int> rotation_steps(std::size_t tokens, std::size_t d_in,
+                                  std::size_t d_out) const;
 
-  // Rotation steps multiply() needs Galois keys for: the BSGS baby steps
-  // {g*step : 1 <= g < n1} plus the single giant step n1*step.
+  // The steps of a product that fills the slot row (every alignment).
   std::vector<int> rotation_steps(std::size_t tokens) const;
 
   PackingStrategy strategy() const { return strategy_; }

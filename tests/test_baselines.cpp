@@ -159,6 +159,29 @@ TEST_F(CostModelTest, PackingReducesRotationsByTokenFactor) {
   EXPECT_LT(fp.total().rotations, fp.total().naive_rotations);
 }
 
+TEST_F(CostModelTest, PrimerFpStepCountsMatchLiveRun) {
+  // The model's per-step operation counts against a live BERT-nano
+  // Primer-FP run at kProd8192, whose slot row is synthetic_costs().slots.
+  // The model prices the classifier at the model's tokens and the engine
+  // runs it at one; a product that fits its alignment window costs the
+  // same at both.
+  const auto est =
+      estimate_cost(bert_nano(), CostedScheme::kPrimerFP, synthetic_costs());
+  Rng weight_rng(2026);
+  PrimerEngine engine(quantize(BertWeightsD::random(bert_nano(), weight_rng)),
+                      PrimerVariant::kFP, HeProfile::kProd8192, /*seed=*/7);
+  const PrimerRunResult r = engine.run({3, 17, 9, 28});
+  for (const auto& [step, e] : est.steps) {
+    PhaseCost live;
+    for (const auto& [phase, steps] : r.costs.all()) {
+      const auto it = steps.find(step);
+      if (it != steps.end()) live += it->second;
+    }
+    EXPECT_EQ(live.he_rotations, e.rotations) << step;
+    EXPECT_EQ(live.he_mults, e.plain_mults) << step;
+  }
+}
+
 TEST(PaperNumbersTable, MatchesPublishedValues) {
   EXPECT_DOUBLE_EQ(paper_table1(CostedScheme::kTheX).online_s, 4700);
   EXPECT_DOUBLE_EQ(paper_table1(CostedScheme::kPrimerFPC).accuracy, 84.6);

@@ -30,13 +30,13 @@ struct Counts {
 
 // BERT-nano, Primer-FP, kProd8192 (the nano-prod-fp shape).
 constexpr Counts kNanoProdFp[] = {
-    {238522934, 102, 84, 273, 1020, 427, 0, 442447, 14158304},
-    {32067344, 102, 84, 184, 1020, 427, 0, 442447, 14158304},
+    {111110366, 102, 84, 219, 140, 427, 0, 442447, 14158304},
+    {32067344, 102, 84, 184, 140, 427, 0, 442447, 14158304},
 };
 // 2-block BERT-nano, Primer-FPC, kProto2048 (the nano2-proto-fpc shape).
 constexpr Counts kNano2ProtoFpc[] = {
-    {62147785, 190, 160, 373, 1016, 1088, 0, 758711, 24278752},
-    {35891855, 190, 160, 327, 1016, 1088, 0, 758711, 24278752},
+    {62737805, 190, 160, 374, 330, 1088, 0, 758711, 24278752},
+    {35891855, 190, 160, 327, 330, 1088, 0, 758711, 24278752},
 };
 
 // BERT-nano, Primer-base, kProto2048: every step online, key transfer too.
@@ -46,8 +46,8 @@ constexpr Counts kNanoProtoBase[] = {
 };
 // BERT-nano, Primer-F, kProto2048.
 constexpr Counts kNanoProtoF[] = {
-    {47098737, 102, 84, 230, 718, 1391, 0, 429151, 13732832},
-    {20842807, 102, 84, 184, 718, 1391, 0, 429151, 13732832},
+    {44148637, 102, 84, 225, 538, 1391, 0, 429151, 13732832},
+    {20842807, 102, 84, 184, 538, 1391, 0, 429151, 13732832},
 };
 
 // The session's one OT setup (128 base OTs, 96 B each, in one frame each
@@ -107,9 +107,9 @@ struct ServeCounts {
 // engine, so both fresh requests ship the keys; the repeat resumes at the
 // last checkpoint and replays every frame before it at zero wire cost.
 constexpr ServeCounts kServeMixed[] = {
-    {47098813, 104, 84, 232, 0, 0, 76, 0},
-    {13292, 4, 2, 232, 227, 47085561, 116, 5},
-    {47098813, 104, 84, 232, 0, 0, 76, 0},
+    {40608593, 104, 84, 221, 0, 0, 76, 0},
+    {13292, 4, 2, 221, 216, 40595341, 116, 5},
+    {40608593, 104, 84, 221, 0, 0, 76, 0},
 };
 
 TEST(TranscriptCounts, NanoProdFp) {

@@ -256,7 +256,7 @@ TEST(KeySwitch, BsgsMatmulMatchesSequentialDiagonalWalk) {
   const MatI w = random_fp_matrix(f.rng, d_in, d_out, -1.0, 1.0);
 
   PackedMatmul mm(f.ctx, f.encoder, f.eval, PackingStrategy::kTokensFirst);
-  std::vector<int> steps = mm.rotation_steps(tokens);
+  std::vector<int> steps = mm.rotation_steps(tokens, d_in, d_out);
   steps.push_back(static_cast<int>(tokens));  // the sequential walk's step
   const GaloisKeys gk = f.keygen.make_galois_keys(steps);
 
@@ -294,7 +294,8 @@ TEST(KeySwitch, ArenaReuseIsDeterministicAcrossThreadsAndRuns) {
       }
       PackedMatmul mm(f.ctx, f.encoder, f.eval,
                       PackingStrategy::kTokensFirst);
-      const GaloisKeys mgk = f.keygen.make_galois_keys(mm.rotation_steps(4));
+      const GaloisKeys mgk =
+          f.keygen.make_galois_keys(mm.rotation_steps(4, 16, 8));
       const ShareRing ring(f.ctx.t());
       const MatI x = ring.random(f.rng, 4, 16);
       const MatI wm = random_fp_matrix(f.rng, 16, 8, -1.0, 1.0);

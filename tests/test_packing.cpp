@@ -1,48 +1,74 @@
 // Tests for encrypted-matmul packing (paper Fig. 6): correctness of both
-// strategies against the plain ring product, and the rotation-count model
-// showing the tokens-first advantage (factor ~n fewer rotations).
+// strategies against the plain ring product, the rotation-count model
+// showing the tokens-first advantage (factor ~n fewer rotations), and the
+// count model against the live execution on every shape the engine runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
+#include <memory>
+#include <string>
+
 #include "common/fixed_point.h"
+#include "nn/config.h"
 #include "proto/packing.h"
 #include "ss/secret_share.h"
 
 namespace primer {
 namespace {
 
+// One HE setup per profile, built on first use and shared by every test.
+// Its members refer to each other, so it is never copied.
+struct HeSetup {
+  explicit HeSetup(HeProfile profile)
+      : ctx(make_params(profile)), rng(99), keygen(ctx, rng), encoder(ctx),
+        enc(ctx, keygen.secret_key(), rng), dec(ctx, keygen.secret_key()),
+        eval(ctx) {}
+  HeSetup(const HeSetup&) = delete;
+  HeSetup& operator=(const HeSetup&) = delete;
+  HeContext ctx;
+  Rng rng;
+  KeyGenerator keygen;
+  BatchEncoder encoder;
+  Encryptor enc;
+  Decryptor dec;
+  Evaluator eval;
+};
+
 class PackingTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    ctx_ = new HeContext(make_params(HeProfile::kProto2048));
-    rng_ = new Rng(99);
-    keygen_ = new KeyGenerator(*ctx_, *rng_);
-    encoder_ = new BatchEncoder(*ctx_);
-    enc_ = new Encryptor(*ctx_, keygen_->secret_key(), *rng_);
-    dec_ = new Decryptor(*ctx_, keygen_->secret_key());
-    eval_ = new Evaluator(*ctx_);
-    gk_ = new GaloisKeys(keygen_->make_galois_keys({1, 4, 8, 256}));
+  static void TearDownTestSuite() { setups_.clear(); }
+
+  static HeSetup& he(HeProfile profile) {
+    auto& s = setups_[profile];
+    if (s == nullptr) s = std::make_unique<HeSetup>(profile);
+    return *s;
   }
 
-  static void TearDownTestSuite() {
-    delete gk_; delete eval_; delete dec_; delete enc_; delete encoder_;
-    delete keygen_; delete rng_; delete ctx_;
-  }
-
-  // Runs the live encrypted matmul and compares with the ring product.
+  // Runs the live encrypted matmul with only the Galois keys of this shape
+  // and compares with the ring product.
   void check_matmul(PackingStrategy strategy, std::size_t n, std::size_t d_in,
-                    std::size_t d_out, PackedMatmulStats* stats = nullptr) {
-    const std::uint64_t t = ctx_->t();
+                    std::size_t d_out, PackedMatmulStats* stats = nullptr,
+                    HeProfile profile = HeProfile::kProto2048) {
+    HeSetup& s = he(profile);
+    const std::uint64_t t = s.ctx.t();
     const ShareRing ring(t);
-    // Random ring-valued input (models a masked share) and fixed-point W.
-    const MatI x = ring.random(*rng_, n, d_in);
-    const MatI w = random_fp_matrix(*rng_, d_in, d_out, -1.0, 1.0);
+    // Random ring-valued input (models a masked share) and fixed-point W
+    // with no zero entry: the live loop skips all-zero masks, which the
+    // count model does not.
+    const MatI x = ring.random(s.rng, n, d_in);
+    MatI w = random_fp_matrix(s.rng, d_in, d_out, -1.0, 1.0);
+    for (auto& v : w.data()) {
+      if (v == 0) v = 1;
+    }
 
-    PackedMatmul mm(*ctx_, *encoder_, *eval_, strategy);
-    // Keys for this shape's BSGS rotation set.
-    const GaloisKeys gk = keygen_->make_galois_keys(mm.rotation_steps(n));
-    const auto packed = mm.encrypt_input(x, *enc_);
+    PackedMatmul mm(s.ctx, s.encoder, s.eval, strategy);
+    const GaloisKeys gk =
+        s.keygen.make_galois_keys(mm.rotation_steps(n, d_in, d_out));
+    const auto packed = mm.encrypt_input(x, s.enc);
     const auto result = mm.multiply(packed, w, n, t, gk, stats);
-    const MatI got = mm.decrypt_result(result, *dec_, n, d_out);
+    const MatI got = mm.decrypt_result(result, s.dec, n, d_out);
 
     // Expected: X * W over the ring (weights lifted the same way).
     MatI w_ring(d_in, d_out);
@@ -61,24 +87,10 @@ class PackingTest : public ::testing::Test {
     }
   }
 
-  static HeContext* ctx_;
-  static Rng* rng_;
-  static KeyGenerator* keygen_;
-  static BatchEncoder* encoder_;
-  static Encryptor* enc_;
-  static Decryptor* dec_;
-  static Evaluator* eval_;
-  static GaloisKeys* gk_;
+  static std::map<HeProfile, std::unique_ptr<HeSetup>> setups_;
 };
 
-HeContext* PackingTest::ctx_ = nullptr;
-Rng* PackingTest::rng_ = nullptr;
-KeyGenerator* PackingTest::keygen_ = nullptr;
-BatchEncoder* PackingTest::encoder_ = nullptr;
-Encryptor* PackingTest::enc_ = nullptr;
-Decryptor* PackingTest::dec_ = nullptr;
-Evaluator* PackingTest::eval_ = nullptr;
-GaloisKeys* PackingTest::gk_ = nullptr;
+std::map<HeProfile, std::unique_ptr<HeSetup>> PackingTest::setups_;
 
 TEST_F(PackingTest, TokensFirstSmall) {
   check_matmul(PackingStrategy::kTokensFirst, 4, 16, 8);
@@ -107,6 +119,32 @@ TEST_F(PackingTest, FeatureBasedRectangular) {
   check_matmul(PackingStrategy::kFeatureBased, 8, 32, 5);
 }
 
+TEST_F(PackingTest, TokensFirstWindowBoundaries) {
+  // At 8 tokens over 1024 slots, fpc = 128 blocks.  A product with
+  // d_in + d_out - 1 < fpc runs only the alignments [-(d_out-1), d_in-1];
+  // each shape below must still equal the ring product on its own keys.
+  HeSetup& s = he(HeProfile::kProto2048);
+  PackedMatmul mm(s.ctx, s.encoder, s.eval, PackingStrategy::kTokensFirst);
+  const auto has_step = [](const std::vector<int>& steps, int step) {
+    return std::find(steps.begin(), steps.end(), step) != steps.end();
+  };
+  // Widest windowed shape: 64 + 64 - 1 = fpc - 1, first baby at -63 blocks.
+  check_matmul(PackingStrategy::kTokensFirst, 8, 64, 64);
+  EXPECT_TRUE(has_step(mm.rotation_steps(8, 64, 64), -63 * 8));
+  // Narrowest full-row shape: 64 + 65 - 1 = fpc, the one-argument set.
+  check_matmul(PackingStrategy::kTokensFirst, 8, 64, 65);
+  EXPECT_EQ(mm.rotation_steps(8, 64, 65), mm.rotation_steps(8));
+  // d_out = 1: the window starts at 0 and needs no negative step.
+  check_matmul(PackingStrategy::kTokensFirst, 8, 16, 1);
+  for (const int step : mm.rotation_steps(8, 16, 1)) EXPECT_GT(step, 0);
+  // d_in = 1: every alignment is negative but the last.
+  check_matmul(PackingStrategy::kTokensFirst, 8, 1, 16);
+  EXPECT_TRUE(has_step(mm.rotation_steps(8, 1, 16), -15 * 8));
+  // One token, the classifier's shape: fpc = 1024, window [-2, 15].
+  check_matmul(PackingStrategy::kTokensFirst, 1, 16, 3);
+  EXPECT_TRUE(has_step(mm.rotation_steps(1, 16, 3), -2));
+}
+
 TEST_F(PackingTest, RotationCountAdvantage) {
   PackedMatmulStats tf, fb;
   check_matmul(PackingStrategy::kTokensFirst, 8, 64, 16, &tf);
@@ -118,9 +156,10 @@ TEST_F(PackingTest, RotationCountAdvantage) {
   EXPECT_LT(tf.naive_rotations, fb.naive_rotations / 4);
   // The live BSGS execution pays ~n1+n2 key-switches per rotation set —
   // strictly fewer than the sequential walk for both strategies, and
-  // tokens-first still wins (by ~sqrt(n) once both use BSGS).
+  // tokens-first still wins: it walks only the 64 + 16 - 1 = 79
+  // alignments that can move data.
   EXPECT_EQ(fb.rotations, 62u);  // n1,n2 = 32,32: 31 baby + 31 giant
-  EXPECT_EQ(tf.rotations, 21u);  // n1,n2 = 12,11: 11 baby + 10 giant
+  EXPECT_EQ(tf.rotations, 17u);  // n1,n2 = 9,9: 9 baby (-15..-7) + 8 giant
   EXPECT_LT(fb.rotations, fb.naive_rotations / 8);
   EXPECT_LT(tf.rotations, tf.naive_rotations / 4);
   EXPECT_LT(tf.rotations, fb.rotations / 2);
@@ -161,38 +200,91 @@ TEST_F(PackingTest, CountModelCiphertextCounts) {
 
 TEST_F(PackingTest, BsgsKeySwitchCountIsBabyPlusGiant) {
   // The acceptance shape: tokens-first 8 x 64 -> 32 over 1024 slots packs
-  // into one input and one output ciphertext with fpc = 128 alignments.
-  // BSGS splits 128 into n1 = 12, n2 = 11, so the whole matmul costs
-  // (n1 - 1) hoisted baby + (n2 - 1) giant = n1 + n2 - 2 key-switches —
-  // not the n1 * n2 - 1 = 127 of the sequential walk.
-  const auto [n1, n2] = bsgs_split(128);
-  EXPECT_EQ(n1, 12u);
-  EXPECT_EQ(n2, 11u);
+  // into one input and one output ciphertext with fpc = 128 blocks, and
+  // only the 64 + 32 - 1 = 95 alignments in [-31, 63] can move data.  BSGS
+  // splits them into n1 = 10 babies (-31..-22, none of them the input
+  // itself) under n2 = 10 giant blocks, so the whole matmul costs n1
+  // hoisted baby + (n2 - 1) giant = 19 key-switches — not the 94 of the
+  // sequential walk over the window.
+  const auto [n1, n2] = bsgs_split(95);
+  EXPECT_EQ(n1, 10u);
+  EXPECT_EQ(n2, 10u);
   const auto s = packed_matmul_counts(PackingStrategy::kTokensFirst, 8, 64, 32,
                                       1024);
-  EXPECT_EQ(s.rotations, n1 + n2 - 2);
-  EXPECT_EQ(s.baby_rotations, n1 - 1);
+  EXPECT_EQ(s.rotations, n1 + n2 - 1);
+  EXPECT_EQ(s.baby_rotations, n1);
   EXPECT_EQ(s.giant_rotations, n2 - 1);
+  EXPECT_EQ(s.plain_mults, 95u);  // one per alignment of the window
   // The live execution pays exactly the modeled schedule.
   PackedMatmulStats live;
   check_matmul(PackingStrategy::kTokensFirst, 8, 64, 32, &live);
   EXPECT_EQ(live.rotations, s.rotations);
   EXPECT_EQ(live.baby_rotations, s.baby_rotations);
   EXPECT_EQ(live.giant_rotations, s.giant_rotations);
+  EXPECT_EQ(live.plain_mults, s.plain_mults);
+}
+
+// Every tokens-first product the engine runs for `c` under Primer-FP, -FPC
+// and -F, as (tokens, d_in, d_out).
+std::vector<std::array<std::size_t, 3>> engine_products(const BertConfig& c) {
+  const std::size_t n = c.tokens, d = c.d_model, dh = c.head_dim();
+  return {
+      {n, c.vocab, d}, {n, d, d}, {n, d, c.d_ff}, {n, c.d_ff, d},  // HGS
+      {1, d, c.num_classes},                   // classifier, one token
+      {n, dh, n}, {n, n, dh}, {dh, n, n},      // FHGS Q*K^T and P*V terms
+      {n, c.vocab, c.vocab}, {n, c.vocab, n},  // CHGS over Enc(R0)
+      {n, d, n},                               // CHGS of deeper blocks
+  };
+}
+
+TEST_F(PackingTest, CountModelMatchesLiveOnEngineShapes) {
+  // The cost model prices each product with packed_matmul_counts; the
+  // live execution must pay exactly that on every tokens-first shape of
+  // BERT-nano and BERT-micro at both protocol profiles, and on the
+  // multi-ciphertext shapes.
+  struct Case {
+    HeProfile profile;
+    std::array<std::size_t, 3> shape;  // tokens, d_in, d_out
+  };
+  std::vector<Case> cases;
+  for (const HeProfile p : {HeProfile::kProto2048, HeProfile::kProd8192}) {
+    for (const BertConfig& cfg : {bert_nano(), bert_micro()}) {
+      for (const auto& shape : engine_products(cfg)) cases.push_back({p, shape});
+    }
+  }
+  cases.push_back({HeProfile::kProto2048, {8, 200, 4}});  // 2 input cts
+  cases.push_back({HeProfile::kProto2048, {256, 8, 6}});  // 2 output cts
+  for (const Case& c : cases) {
+    const auto [n, d_in, d_out] = c.shape;
+    SCOPED_TRACE(std::to_string(n) + " tokens, " + std::to_string(d_in) +
+                 " x " + std::to_string(d_out) + ", row " +
+                 std::to_string(he(c.profile).encoder.row_size()));
+    PackedMatmulStats live;
+    check_matmul(PackingStrategy::kTokensFirst, n, d_in, d_out, &live,
+                 c.profile);
+    const auto model = packed_matmul_counts(
+        PackingStrategy::kTokensFirst, n, d_in, d_out,
+        he(c.profile).encoder.row_size());
+    EXPECT_EQ(live.rotations, model.rotations);
+    EXPECT_EQ(live.baby_rotations, model.baby_rotations);
+    EXPECT_EQ(live.giant_rotations, model.giant_rotations);
+    EXPECT_EQ(live.plain_mults, model.plain_mults);
+  }
 }
 
 TEST_F(PackingTest, NoiseBudgetSurvives) {
   // Direct check that the Horner ordering leaves decryptable noise.
-  const std::uint64_t t = ctx_->t();
+  HeSetup& s = he(HeProfile::kProto2048);
+  const std::uint64_t t = s.ctx.t();
   const ShareRing ring(t);
-  const MatI x = ring.random(*rng_, 8, 64);
-  const MatI w = random_fp_matrix(*rng_, 64, 8, -1.0, 1.0);
-  PackedMatmul mm(*ctx_, *encoder_, *eval_, PackingStrategy::kTokensFirst);
-  const GaloisKeys gk = keygen_->make_galois_keys(mm.rotation_steps(8));
-  const auto packed = mm.encrypt_input(x, *enc_);
+  const MatI x = ring.random(s.rng, 8, 64);
+  const MatI w = random_fp_matrix(s.rng, 64, 8, -1.0, 1.0);
+  PackedMatmul mm(s.ctx, s.encoder, s.eval, PackingStrategy::kTokensFirst);
+  const GaloisKeys gk = s.keygen.make_galois_keys(mm.rotation_steps(8, 64, 8));
+  const auto packed = mm.encrypt_input(x, s.enc);
   const auto result = mm.multiply(packed, w, 8, t, gk, nullptr);
   for (const auto& ct : result) {
-    EXPECT_GT(dec_->noise_budget(ct), 10.0);
+    EXPECT_GT(s.dec.noise_budget(ct), 10.0);
   }
 }
 

@@ -169,7 +169,8 @@ PipelineOutput run_pipeline() {
     const MatI w = random_fp_matrix(rng, d_in, d_out, -1.0, 1.0);
 
     PackedMatmul mm(ctx, encoder, eval, PackingStrategy::kTokensFirst);
-    const auto gk = keygen.make_galois_keys(mm.rotation_steps(tokens));
+    const auto gk =
+        keygen.make_galois_keys(mm.rotation_steps(tokens, d_in, d_out));
     const auto packed = mm.encrypt_input(x, enc);
     const auto result = mm.multiply(packed, w, tokens, ctx.t(), gk, nullptr);
     ByteWriter wtr;
