@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
       const auto packed = mm.encrypt_input(x, enc);
       PackedMatmulStats stats;
       CpuWallTimer timer;
-      const auto result = mm.multiply(packed, w, 8, ctx.t(), gk, &stats);
+      const auto result = mm.multiply(packed, mm.encode(w, 8), gk, &stats);
       const double wall = timer.wall_seconds();
       const double cpu = timer.cpu_seconds();
       (void)mm.decrypt_result(result, dec, 8, 16);

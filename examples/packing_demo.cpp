@@ -44,7 +44,7 @@ int main() {
     const auto packed = mm.encrypt_input(x, enc);
     PackedMatmulStats stats;
     Stopwatch sw;
-    const auto out = mm.multiply(packed, w, n, ctx.t(), gk, &stats);
+    const auto out = mm.multiply(packed, mm.encode(w, n), gk, &stats);
     const double secs = sw.seconds();
     results[which] = mm.decrypt_result(out, dec, n, d_out);
     std::printf(

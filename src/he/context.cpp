@@ -15,6 +15,11 @@ HeContext::HeContext(HeParams params) : params_(std::move(params)) {
     throw std::invalid_argument("HeContext: poly_degree must be power of two");
   }
   for (u64 p : params_.q) {
+    // Lifts copy coefficients below t (or |x| below q_i) without reducing.
+    if (params_.t >= p) {
+      throw std::invalid_argument(
+          "HeContext: plaintext modulus must be below every q_i");
+    }
     ntts_.push_back(std::make_unique<Ntt>(n, p));
     barretts_.emplace_back(p);
   }
@@ -164,9 +169,11 @@ RnsPoly HeContext::lift_signed(const std::vector<i64>& v) const {
     const u64 p = params_.q[i];
     u64* limb = out.limb(i);
     for (std::size_t j = 0; j < v.size(); ++j) {
-      const i64 x = v[j];
-      limb[j] = x >= 0 ? static_cast<u64>(x) % p
-                       : p - (static_cast<u64>(-x) % p);
+      // |x| < p is the common case (noise, ternary secrets): no division.
+      const u64 mag = v[j] >= 0 ? static_cast<u64>(v[j])
+                                : 0 - static_cast<u64>(v[j]);
+      const u64 r = mag < p ? mag : mag % p;
+      limb[j] = v[j] >= 0 || r == 0 ? r : p - r;
     }
   }
   return out;
@@ -176,13 +183,16 @@ RnsPoly HeContext::lift_plaintext(const Plaintext& pt) const {
   if (pt.coeffs.size() != degree()) {
     throw std::invalid_argument("lift_plaintext: wrong degree");
   }
+  // Every coefficient is below t, and t is below every q_i (checked at
+  // construction), so each limb is a copy of the coefficients.
   RnsPoly out(rns_size(), degree(), false);
-  for (std::size_t i = 0; i < rns_size(); ++i) {
-    const u64 p = params_.q[i];
-    u64* limb = out.limb(i);
-    for (std::size_t j = 0; j < pt.coeffs.size(); ++j) {
-      limb[j] = pt.coeffs[j] % p;  // coeffs < t << q_i
+  for (const u64 c : pt.coeffs) {
+    if (c >= params_.t) {
+      throw std::invalid_argument("lift_plaintext: coefficient not below t");
     }
+  }
+  for (std::size_t i = 0; i < rns_size(); ++i) {
+    std::copy(pt.coeffs.begin(), pt.coeffs.end(), out.limb(i));
   }
   return out;
 }

@@ -58,11 +58,13 @@ class HeContext {
   RnsPoly sample_error(Rng& rng) const;           // CBD(eta), coeff form
   RnsPoly sample_ternary(Rng& rng) const;         // uniform {-1,0,1}, coeff form
 
-  // Lifts a signed small polynomial (|v| << q_i) into RNS coefficient form.
+  // Lifts a signed polynomial into RNS coefficient form, each residue in
+  // [0, q_i).  Only coefficients with |v| >= q_i pay a division.
   RnsPoly lift_signed(const std::vector<i64>& v) const;
 
   // Lifts a plaintext (coeffs mod t) into RNS coefficient form as integers
-  // in [0, t) — the BGV message embedding.
+  // in [0, t) — the BGV message embedding.  Throws std::invalid_argument on
+  // a coefficient not below t.
   RnsPoly lift_plaintext(const Plaintext& p) const;
 
   // --- decryption helpers --------------------------------------------------

@@ -306,29 +306,55 @@ void Evaluator::sub_plain_inplace(Ciphertext& a, const Plaintext& pt) const {
   ctx_.sub_inplace(a.parts[0], m);
 }
 
+NttPlaintext Evaluator::transform_to_ntt(const Plaintext& pt) const {
+  NttPlaintext out{ctx_.lift_plaintext(pt)};
+  ctx_.to_ntt(out.poly);
+  return out;
+}
+
+namespace {
+
+void check_operand(const Ciphertext& a, const NttPlaintext& pt) {
+  if (pt.empty() || !pt.poly.ntt_form ||
+      (!a.parts.empty() && !a.parts[0].same_shape(pt.poly))) {
+    throw std::invalid_argument(
+        "multiply_plain: operand is not an NTT-form plaintext of this ring");
+  }
+}
+
+}  // namespace
+
 void Evaluator::multiply_plain_inplace(Ciphertext& a,
-                                       const Plaintext& pt) const {
+                                       const NttPlaintext& pt) const {
+  check_operand(a, pt);
   ++counters_.plain_mults;
-  RnsPoly m = ctx_.lift_plaintext(pt);
-  ctx_.to_ntt(m);
-  for (auto& part : a.parts) ctx_.multiply_inplace(part, m);
+  for (auto& part : a.parts) ctx_.multiply_inplace(part, pt.poly);
   a.noise_log2 += std::log2(static_cast<double>(ctx_.degree())) +
                   std::log2(static_cast<double>(ctx_.t()));
 }
 
+void Evaluator::multiply_plain_inplace(Ciphertext& a,
+                                       const Plaintext& pt) const {
+  multiply_plain_inplace(a, transform_to_ntt(pt));
+}
+
 void Evaluator::multiply_plain_accumulate(Ciphertext& acc, const Ciphertext& a,
                                           const Plaintext& pt) const {
+  multiply_plain_accumulate(acc, a, transform_to_ntt(pt));
+}
+
+void Evaluator::multiply_plain_accumulate(Ciphertext& acc, const Ciphertext& a,
+                                          const NttPlaintext& pt) const {
   // acc += a * pt, fused: the limb product streams straight into acc with
   // no temporary ciphertext copy and no second add pass — the inner loop of
   // the packed matmul's Horner chains.
+  check_operand(a, pt);
   ++counters_.plain_mults;
-  RnsPoly m = ctx_.lift_plaintext(pt);
-  ctx_.to_ntt(m);
   while (acc.parts.size() < a.parts.size()) {
     acc.parts.emplace_back(ctx_.rns_size(), ctx_.degree(), true);
   }
   for (std::size_t i = 0; i < a.parts.size(); ++i) {
-    ctx_.multiply_accumulate(acc.parts[i], a.parts[i], m);
+    ctx_.multiply_accumulate(acc.parts[i], a.parts[i], pt.poly);
   }
   const double term_noise = a.noise_log2 +
                             std::log2(static_cast<double>(ctx_.degree())) +

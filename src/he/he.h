@@ -246,12 +246,21 @@ class Evaluator {
   void add_plain_inplace(Ciphertext& a, const Plaintext& pt) const;
   void sub_plain_inplace(Ciphertext& a, const Plaintext& pt) const;
 
-  // Ciphertext x plaintext multiplication (SIMD slot-wise).
+  // Lifts pt into R_q and transforms it to NTT form, once for every
+  // multiply it will feed.
+  NttPlaintext transform_to_ntt(const Plaintext& pt) const;
+
+  // Ciphertext x plaintext multiplication (SIMD slot-wise).  The Plaintext
+  // overload transforms pt and delegates.  Throws std::invalid_argument
+  // when pt is empty or has another shape than a's parts.
+  void multiply_plain_inplace(Ciphertext& a, const NttPlaintext& pt) const;
   void multiply_plain_inplace(Ciphertext& a, const Plaintext& pt) const;
 
   // acc += a * pt, fused through the kernel layer's pointwise-accumulate —
   // no temporary ciphertext, one pass over the limbs.  Counts one plain
-  // mult and one add.
+  // mult.
+  void multiply_plain_accumulate(Ciphertext& acc, const Ciphertext& a,
+                                 const NttPlaintext& pt) const;
   void multiply_plain_accumulate(Ciphertext& acc, const Ciphertext& a,
                                  const Plaintext& pt) const;
 

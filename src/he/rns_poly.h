@@ -68,12 +68,23 @@ struct Ciphertext {
   bool empty() const { return parts.empty(); }
 };
 
-// Plaintext polynomial with coefficients mod t.  `ntt_form` distinguishes a
-// slot-encoded value (coefficient domain, ready for enc/add) from the
-// pre-transformed operand cached for repeated plaintext multiplication.
+// Plaintext polynomial with coefficients mod t, in the coefficient domain
+// (the batching encoder's output, ready for encryption and addition).  A
+// plaintext that multiplies ciphertexts more than once is transformed once
+// into an NttPlaintext (Evaluator::transform_to_ntt).
 struct Plaintext {
   std::vector<u64> coeffs;  // mod t, coefficient domain
   std::size_t degree() const { return coeffs.size(); }
+};
+
+// A plaintext lifted into R_q and transformed to NTT form: the operand
+// Evaluator::multiply_plain_{inplace,accumulate} consume.  A multiply by a
+// Plaintext pays the lift and one forward NTT per RNS limb every time;
+// an NttPlaintext pays them once.  A default-constructed one is empty, and
+// the multiplies refuse it.
+struct NttPlaintext {
+  RnsPoly poly;
+  bool empty() const { return poly.word_count() == 0; }
 };
 
 }  // namespace primer

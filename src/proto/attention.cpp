@@ -37,6 +37,12 @@ void sub_layout_plain(ProtocolContext& pc, std::vector<Ciphertext>& cts,
 
 MatI transpose_ring(const MatI& m) { return m.transposed(); }
 
+// One head's merged Q/K weight Wqk = wq_h * wk_h^T, in the ring (2*frac
+// domain).
+MatI chgs_wqk(const ShareRing& ring, const MatI& wq_h, const MatI& wk_h) {
+  return ring.mul(ring.reduce(wq_h), transpose_ring(ring.reduce(wk_h)));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -79,7 +85,7 @@ SharePair FhgsProduct::online(const std::string& step_name, const SharePair& a,
 
     // S1 = Enc(Ra)*Db + Enc(Ra*Rb) - Rs1.
     PackedMatmulStats stats;
-    auto s1 = mm_a_.multiply(enc_ra_, db_red, n_, pc_.t(), pc_.gk, &stats);
+    auto s1 = mm_a_.multiply(enc_ra_, mm_a_.encode(db_red, n_), pc_.gk, &stats);
     for (std::size_t i = 0; i < s1.size(); ++i) {
       pc_.eval.add_inplace(s1[i], enc_rarb_[i]);
     }
@@ -87,8 +93,8 @@ SharePair FhgsProduct::online(const std::string& step_name, const SharePair& a,
     sub_layout_plain(pc_, s1, rs1);
 
     // S2 = Enc(Rb^T)*Da^T - Rs2  (= (Da*Rb)^T - Rs2).
-    auto s2 = mm_bt_.multiply(enc_rbt_, transpose_ring(da_red), m_, pc_.t(),
-                              pc_.gk, &stats);
+    auto s2 = mm_bt_.multiply(
+        enc_rbt_, mm_bt_.encode(transpose_ring(da_red), m_), pc_.gk, &stats);
     const MatI rs2 = pc_.ring.random(pc_.server_rng, m_, n_);
     sub_layout_plain(pc_, s2, rs2);
 
@@ -157,12 +163,12 @@ SharePair CtCtProduct::online(const std::string& step_name, const SharePair& a,
     const auto srv_cols = pc_.recv_cts(Party::kServer);
 
     PackedMatmulStats stats;
-    auto s1 = mm_a_.multiply(srv_ac, bs_red, n_, pc_.t(), pc_.gk, &stats);
+    auto s1 = mm_a_.multiply(srv_ac, mm_a_.encode(bs_red, n_), pc_.gk, &stats);
     const MatI rs1 = pc_.ring.random(pc_.server_rng, n_, m_);
     sub_layout_plain(pc_, s1, rs1);
 
-    auto s2 = mm_bt_.multiply(srv_bct, transpose_ring(as_red), m_, pc_.t(),
-                              pc_.gk, &stats);
+    auto s2 = mm_bt_.multiply(
+        srv_bct, mm_bt_.encode(transpose_ring(as_red), m_), pc_.gk, &stats);
     const MatI rs2 = pc_.ring.random(pc_.server_rng, m_, n_);
     sub_layout_plain(pc_, s2, rs2);
 
@@ -218,21 +224,25 @@ SharePair CtCtProduct::online(const std::string& step_name, const SharePair& a,
 // ChgsScores
 // ---------------------------------------------------------------------------
 
+MatI chgs_combined_weight(const ShareRing& ring, const MatI& we,
+                          const MatI& wq_h, const MatI& wk_h) {
+  const MatI we_red = ring.reduce(we);
+  return ring.mul(ring.mul(we_red, chgs_wqk(ring, wq_h, wk_h)),
+                  transpose_ring(we_red));
+}
+
 ChgsScores::ChgsScores(ProtocolContext& pc, std::size_t tokens, const MatI& we,
-                       const MatI& pos, const MatI& wq_h, const MatI& wk_h)
+                       const MatI& pos, const MatI& wq_h, const MatI& wk_h,
+                       const EncodedMatrix& w_m)
     : pc_(pc), n_(tokens), we_(pc.ring.reduce(we)),
-      pos_(pc.ring.reduce(pos)),
+      pos_(pc.ring.reduce(pos)), wqk_(chgs_wqk(pc.ring, wq_h, wk_h)),
+      w_m_(w_m),
       mm_(pc.he, pc.encoder, pc.eval, PackingStrategy::kTokensFirst) {
   // Every product over Enc(R0) (n x D, D = we.rows()) is D x D (W_M) or
   // D x n (S^T and both online terms).
   const std::size_t d = we_.rows();
   pc_.keys.ensure_rotation_steps(mm_.rotation_steps(n_, d, d));
   pc_.keys.ensure_rotation_steps(mm_.rotation_steps(n_, d, n_));
-  // Wqk = wq_h * wk_h^T in the ring (2*frac domain).
-  wqk_ = pc_.ring.mul(pc_.ring.reduce(wq_h),
-                      transpose_ring(pc_.ring.reduce(wk_h)));
-  // W_M = WE * Wqk * WE^T.
-  w_m_ = pc_.ring.mul(pc_.ring.mul(we_, wqk_), transpose_ring(we_));
 }
 
 void ChgsScores::offline(const std::string& step_name, const MatI& r0) {
@@ -245,9 +255,8 @@ void ChgsScores::offline(const std::string& step_name, const MatI& r0) {
 
     // (a) Server: Enc(R0*W_M) + S  -> client.
     PackedMatmulStats stats;
-    auto g = mm_.multiply(enc_r0_, w_m_, n_, pc_.t(), pc_.gk, &stats);
-    const MatI s_mask =
-        pc_.ring.random(pc_.server_rng, n_, w_m_.cols());
+    auto g = mm_.multiply(enc_r0_, w_m_, pc_.gk, &stats);
+    const MatI s_mask = pc_.ring.random(pc_.server_rng, n_, w_m_.d_out);
     {
       const auto slots = output_layout_slots(pc_.encoder, s_mask);
       for (std::size_t i = 0; i < g.size(); ++i) {
@@ -258,12 +267,12 @@ void ChgsScores::offline(const std::string& step_name, const MatI& r0) {
 
     // (b) Client: T_c = (R0*W_M + S) * R0^T.
     const auto cg = pc_.recv_cts(Party::kClient);
-    const MatI gmat = mm_.decrypt_result(cg, pc_.dec, n_, w_m_.cols());
+    const MatI gmat = mm_.decrypt_result(cg, pc_.dec, n_, w_m_.d_out);
     const MatI t_c = pc_.ring.mul(gmat, transpose_ring(r0_red));
 
     // (c) Server: Enc(R0)*S^T - Rs_b -> client.
-    auto h = mm_.multiply(enc_r0_, transpose_ring(s_mask), n_, pc_.t(), pc_.gk,
-                          &stats);
+    auto h = mm_.multiply(enc_r0_, mm_.encode(transpose_ring(s_mask), n_),
+                          pc_.gk, &stats);
     const MatI rs_b = pc_.ring.random(pc_.server_rng, n_, n_);
     sub_layout_plain(pc_, h, rs_b);
     pc_.send_cts(Party::kServer, h);
@@ -289,7 +298,7 @@ SharePair ChgsScores::online(const std::string& step_name, const MatI& d0) {
     // term3 = R0 * (WE * Wqk * U~^T): ct-pt with Enc(R0).
     PackedMatmulStats stats;
     const MatI w3 = pc_.ring.mul(we_, pc_.ring.mul(wqk_, transpose_ring(u_srv)));
-    auto s_a = mm_.multiply(enc_r0_, w3, n_, pc_.t(), pc_.gk, &stats);
+    auto s_a = mm_.multiply(enc_r0_, mm_.encode(w3, n_), pc_.gk, &stats);
     const MatI rs1 = pc_.ring.random(pc_.server_rng, n_, n_);
     sub_layout_plain(pc_, s_a, rs1);
 
@@ -297,7 +306,7 @@ SharePair ChgsScores::online(const std::string& step_name, const MatI& d0) {
     // the client transposes after decryption.
     const MatI w2 = pc_.ring.mul(
         we_, pc_.ring.mul(transpose_ring(wqk_), transpose_ring(u_srv)));
-    auto s_b = mm_.multiply(enc_r0_, w2, n_, pc_.t(), pc_.gk, &stats);
+    auto s_b = mm_.multiply(enc_r0_, mm_.encode(w2, n_), pc_.gk, &stats);
     const MatI rs2 = pc_.ring.random(pc_.server_rng, n_, n_);
     sub_layout_plain(pc_, s_b, rs2);
 

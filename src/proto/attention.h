@@ -99,13 +99,22 @@ class CtCtProduct : public ProductProtocol {
   PackedMatmul mm_bt_;
 };
 
+// The combined weight W_M = WE * Wqk * WE^T (ring, Wqk = wq_h * wk_h^T)
+// that ChgsScores multiplies Enc(R0) by offline.  It depends on the model alone, so the
+// model's set encodes it once.
+MatI chgs_combined_weight(const ShareRing& ring, const MatI& we,
+                          const MatI& wq_h, const MatI& wk_h);
+
 // Combined FHGS for the attention scores of one head.
 class ChgsScores {
  public:
   // we: vocab x d, pos: n x d (lambda), wq/wk: d x d head slices (d x dh).
   // Computes shares of (X*WE + pos) * wq * wk^T * (X*WE + pos)^T, n x n.
+  // `w_m` is chgs_combined_weight(we, wq_h, wk_h) encoded tokens-first at
+  // `tokens` tokens; it must outlive the object.
   ChgsScores(ProtocolContext& pc, std::size_t tokens, const MatI& we,
-             const MatI& pos, const MatI& wq_h, const MatI& wk_h);
+             const MatI& pos, const MatI& wq_h, const MatI& wk_h,
+             const EncodedMatrix& w_m);
 
   // Offline: combined-weight precomputation + the Rc-dependent triple.
   // `r0` is the client's mask on the one-hot input X.
@@ -118,7 +127,7 @@ class ChgsScores {
   ProtocolContext& pc_;
   std::size_t n_;
   MatI we_, pos_, wqk_;       // wqk = wq_h * wk_h^T (raw-domain ring product)
-  MatI w_m_;                  // WE * Wqk * WE^T (ring)
+  const EncodedMatrix& w_m_;  // WE * Wqk * WE^T (ring), encoded
   PackedMatmul mm_;
   std::vector<Ciphertext> enc_r0_;
   MatI term4_client_;         // client share of R0*W_M*R0^T (offline)

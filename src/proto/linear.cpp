@@ -29,7 +29,7 @@ void HgsLinear::offline(const std::string& step_name, const MatI& mask) {
     // Server: homomorphic Rc * W, then mask with fresh Rs.
     const auto received = pc_.recv_cts(Party::kServer);
     PackedMatmulStats stats;
-    auto result = mm_.multiply(received, w_, tokens_, pc_.t(), pc_.gk, &stats);
+    auto result = mm_.multiply(received, w_enc_, pc_.gk, &stats);
     rs_ = pc_.ring.random(pc_.server_rng, tokens_, w_.cols());
     // Subtract Rs slotwise: encode Rs in the output layout of the matmul.
     // Rs is sampled above on the calling thread; masking each result
@@ -80,7 +80,7 @@ SharePair BaseLinear::online(const std::string& step_name,
     // Server: Enc(Xc)*W + Xs*W - Rs.
     const auto received = pc_.recv_cts(Party::kServer);
     PackedMatmulStats stats;
-    auto result = mm_.multiply(received, w_, tokens_, pc_.t(), pc_.gk, &stats);
+    auto result = mm_.multiply(received, w_enc_, pc_.gk, &stats);
     const MatI plain_part =
         pc_.ring.mul(pc_.ring.reduce(x.server), pc_.ring.reduce(w_));
     MatI rs = pc_.ring.random(pc_.server_rng, tokens_, w_.cols());

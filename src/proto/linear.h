@@ -39,10 +39,13 @@ class LinearProtocol {
 class HgsLinear : public LinearProtocol {
  public:
   // W: d_in x d_out raw fixed-point (server-held); bias optional (d_out).
+  // `w_enc` is W encoded for the product (its tokens and packing); it
+  // must outlive the layer.
   HgsLinear(ProtocolContext& pc, MatI w, std::vector<std::int64_t> bias,
-            std::size_t tokens, PackingStrategy strategy)
-      : pc_(pc), w_(std::move(w)), bias_(std::move(bias)), tokens_(tokens),
-        mm_(pc.he, pc.encoder, pc.eval, strategy) {
+            const EncodedMatrix& w_enc)
+      : pc_(pc), w_(std::move(w)), bias_(std::move(bias)), w_enc_(w_enc),
+        tokens_(w_enc.tokens),
+        mm_(pc.he, pc.encoder, pc.eval, w_enc.strategy) {
     pc_.keys.ensure_rotation_steps(
         mm_.rotation_steps(tokens_, w_.rows(), w_.cols()));
   }
@@ -59,6 +62,7 @@ class HgsLinear : public LinearProtocol {
   ProtocolContext& pc_;
   MatI w_;
   std::vector<std::int64_t> bias_;
+  const EncodedMatrix& w_enc_;
   std::size_t tokens_;
   PackedMatmul mm_;
   MatI client_share_;  // Rc*W - Rs (client side, produced offline)
@@ -68,9 +72,10 @@ class HgsLinear : public LinearProtocol {
 class BaseLinear : public LinearProtocol {
  public:
   BaseLinear(ProtocolContext& pc, MatI w, std::vector<std::int64_t> bias,
-             std::size_t tokens, PackingStrategy strategy)
-      : pc_(pc), w_(std::move(w)), bias_(std::move(bias)), tokens_(tokens),
-        mm_(pc.he, pc.encoder, pc.eval, strategy) {
+             const EncodedMatrix& w_enc)
+      : pc_(pc), w_(std::move(w)), bias_(std::move(bias)), w_enc_(w_enc),
+        tokens_(w_enc.tokens),
+        mm_(pc.he, pc.encoder, pc.eval, w_enc.strategy) {
     pc_.keys.ensure_rotation_steps(
         mm_.rotation_steps(tokens_, w_.rows(), w_.cols()));
   }
@@ -87,6 +92,7 @@ class BaseLinear : public LinearProtocol {
   ProtocolContext& pc_;
   MatI w_;
   std::vector<std::int64_t> bias_;
+  const EncodedMatrix& w_enc_;
   std::size_t tokens_;
   PackedMatmul mm_;
 };

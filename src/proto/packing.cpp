@@ -1,5 +1,6 @@
 #include "proto/packing.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <tuple>
 
@@ -34,17 +35,21 @@ bool all_zero(const std::vector<u64>& v) {
 }
 
 // Single source of truth for a product's BSGS schedule: multiply(),
-// rotation_steps() and packed_matmul_counts() all read it, so the key set,
-// the execution and the cost model cannot disagree.
+// encode(), rotation_steps() and packed_matmul_counts() all read it, so
+// the masks, the key set, the execution and the cost model cannot
+// disagree.
 //
 // Alignment k moves input block (b + k) mod `period` into output block b
 // (tokens-first: period = fpc blocks of `tokens` slots; feature-based:
 // period = row blocks of one slot).  When a tokens-first product's
 // d_in + d_out - 1 < fpc, it has one input and one output ciphertext, and
 // only k in [-(d_out-1), d_in-1] puts a feature into a read output block;
-// every other product runs the whole period [0, period).  The window's
-// alignment k = lo + h*n1 + g is baby g (a hoisted rotation by (lo+g)*step)
-// under giant h (h rotations by n1*step).
+// it walks that window when the window needs strictly fewer key switches
+// than the whole period [0, period), which every other product runs.
+// (Near the boundary no baby of the window is the zero alignment, so the
+// window can cost one more.)  The window's alignment k = lo + h*n1 + g is
+// baby g (a hoisted rotation by (lo+g)*step) under giant h (h rotations by
+// n1*step).
 struct BsgsSchedule {
   std::size_t period = 1;          // distinct alignments of the packing
   int lo = 0;                      // the window is lo, ..., lo+size-1
@@ -53,20 +58,18 @@ struct BsgsSchedule {
   int step = 1;                    // slots per alignment
   std::vector<int> baby;           // (lo+g)*step for g in [0, n1)
   std::size_t baby_rotations = 0;  // the nonzero ones: key-switches
+
+  // Key switches of one input and one output ciphertext.
+  std::size_t key_switches() const { return baby_rotations + n2 - 1; }
 };
 
-BsgsSchedule bsgs_schedule(PackingStrategy strategy, std::size_t tokens,
-                           std::size_t d_in, std::size_t d_out,
-                           std::size_t row) {
+BsgsSchedule make_schedule(std::size_t period, int lo, std::size_t size,
+                           int step) {
   BsgsSchedule s;
-  const bool tokens_first = strategy == PackingStrategy::kTokensFirst;
-  s.step = tokens_first ? static_cast<int>(tokens) : 1;
-  s.period = tokens_first ? std::max<std::size_t>(1, row / tokens) : row;
-  s.size = s.period;
-  if (tokens_first && d_out > 0 && d_in + d_out <= s.period) {
-    s.lo = -static_cast<int>(d_out - 1);
-    s.size = d_in + d_out - 1;
-  }
+  s.period = period;
+  s.lo = lo;
+  s.size = size;
+  s.step = step;
   std::tie(s.n1, s.n2) = bsgs_split(s.size);
   for (std::size_t g = 0; g < s.n1; ++g) {
     const int k = s.lo + static_cast<int>(g);
@@ -74,6 +77,22 @@ BsgsSchedule bsgs_schedule(PackingStrategy strategy, std::size_t tokens,
     if (k != 0) ++s.baby_rotations;
   }
   return s;
+}
+
+BsgsSchedule bsgs_schedule(PackingStrategy strategy, std::size_t tokens,
+                           std::size_t d_in, std::size_t d_out,
+                           std::size_t row) {
+  const bool tokens_first = strategy == PackingStrategy::kTokensFirst;
+  const int step = tokens_first ? static_cast<int>(tokens) : 1;
+  const std::size_t period =
+      tokens_first ? std::max<std::size_t>(1, row / tokens) : row;
+  BsgsSchedule full = make_schedule(period, 0, period, step);
+  if (tokens_first && d_out > 0 && d_in + d_out <= period) {
+    BsgsSchedule window = make_schedule(
+        period, -static_cast<int>(d_out - 1), d_in + d_out - 1, step);
+    if (window.key_switches() < full.key_switches()) return window;
+  }
+  return full;
 }
 
 }  // namespace
@@ -186,16 +205,38 @@ std::vector<Ciphertext> PackedMatmul::encrypt_input(
   return out;
 }
 
-std::vector<Ciphertext> PackedMatmul::multiply(
-    const std::vector<Ciphertext>& packed, const MatI& w_raw,
-    std::size_t tokens, std::uint64_t t, const GaloisKeys& gk,
-    PackedMatmulStats* stats) const {
+std::size_t EncodedMatrix::nonzero_masks() const {
+  return static_cast<std::size_t>(
+      std::count_if(masks.begin(), masks.end(),
+                    [](const NttPlaintext& m) { return !m.empty(); }));
+}
+
+EncodedMatrix PackedMatmul::encode(const MatI& w_raw,
+                                   std::size_t tokens) const {
   const std::size_t row = encoder_.row_size();
   const std::size_t n = tokens;
+  if (n == 0 || n > row) {
+    throw std::invalid_argument("PackedMatmul: tokens must be in [1, row]");
+  }
   const std::size_t d_in = w_raw.rows();
   const std::size_t d_out = w_raw.cols();
   const std::size_t fpc = row / n;  // blocks per ciphertext
-  if (fpc == 0) throw std::invalid_argument("PackedMatmul: tokens > row");
+  const std::uint64_t t = ctx_.t();
+  const bool tokens_first = strategy_ == PackingStrategy::kTokensFirst;
+  const BsgsSchedule sched = bsgs_schedule(strategy_, n, d_in, d_out, row);
+
+  EncodedMatrix out;
+  out.strategy = strategy_;
+  out.tokens = n;
+  out.d_in = d_in;
+  out.d_out = d_out;
+  out.input_cts = tokens_first ? (d_in + fpc - 1) / fpc
+                               : (n * d_in + row - 1) / row;
+  out.output_cts = (d_out + fpc - 1) / fpc;
+  out.window = sched.size;
+  out.q = ctx_.params().q;
+  out.t = t;
+  out.masks.resize(out.input_cts * out.output_cts * out.window);
 
   // Ring-encoded weights (centered fixed point lifted into Z_t).
   std::vector<std::vector<u64>> w_ring(d_in, std::vector<u64>(d_out));
@@ -204,31 +245,90 @@ std::vector<Ciphertext> PackedMatmul::multiply(
       w_ring[j][o] = fp_to_ring(w_raw(j, o), t);
     }
   }
-
-  PackedMatmulStats local;
-  local.input_ciphertexts = packed.size();
-  const std::size_t out_cts = (d_out + fpc - 1) / fpc;
-  local.output_ciphertexts = out_cts;
-
-  const BsgsSchedule sched = bsgs_schedule(strategy_, n, d_in, d_out, row);
-  const std::size_t n1 = sched.n1;
-  const std::size_t n2 = sched.n2;
-  const int step = sched.step;
   // Window entry a is alignment lo + a; since -lo < period, its residue
   // mod period is (a + lo_shift) % period in unsigned arithmetic.
   const std::size_t lo_shift =
       sched.period - static_cast<std::size_t>(-sched.lo);
+  const std::size_t step = static_cast<std::size_t>(sched.step);
+
+  // Every mask is independent: build, pre-rotate, encode and transform
+  // them all in parallel.
+  parallel_for(0, out.masks.size(), [&](std::size_t idx) {
+    const std::size_t a = idx % out.window;
+    const std::size_t oc = idx / out.window % out.output_cts;
+    const std::size_t ci = idx / out.window / out.output_cts;
+    const std::size_t k = (a + lo_shift) % sched.period;
+    // Mask P_k: target slot layout is block b <-> output o = oc*fpc + b,
+    // slot b*n + i <-> token i.
+    std::vector<u64> mask(row, 0);
+    if (tokens_first) {
+      for (std::size_t b = 0; b < fpc; ++b) {
+        const std::size_t o = oc * fpc + b;
+        if (o >= d_out) break;
+        const std::size_t j = ci * fpc + ((b + k) % fpc);
+        if (j >= d_in || j >= (ci + 1) * fpc) continue;
+        for (std::size_t i = 0; i < n; ++i) {
+          mask[b * n + i] = w_ring[j][o];
+        }
+      }
+    } else {
+      for (std::size_t tl = 0; tl < row; ++tl) {
+        const std::size_t i = tl % n;
+        const std::size_t o = oc * fpc + tl / n;
+        if (o >= d_out) continue;
+        const std::size_t src = (tl + k) % row;
+        const std::size_t l = ci * row + src;
+        if (l >= n * d_in) continue;
+        if (l / d_in != i) continue;
+        mask[tl] = w_ring[l % d_in][o];
+      }
+    }
+    if (all_zero(mask)) return;
+    // Q_{h,g}: P_k pre-rotated right by the giant offset h*n1*step.
+    const std::size_t pre_rot = a / sched.n1 * sched.n1 * step % row;
+    out.masks[idx] = eval_.transform_to_ntt(
+        encoder_.encode(rotate_right_plain(mask, pre_rot, row)));
+  });
+  return out;
+}
+
+std::vector<Ciphertext> PackedMatmul::multiply(
+    const std::vector<Ciphertext>& packed, const EncodedMatrix& w,
+    const GaloisKeys& gk, PackedMatmulStats* stats) const {
+  if (w.q != ctx_.params().q || w.t != ctx_.t()) {
+    throw std::invalid_argument(
+        "PackedMatmul: matrix encoded for another HE profile");
+  }
+  if (w.strategy != strategy_) {
+    throw std::invalid_argument(
+        "PackedMatmul: matrix encoded for another packing");
+  }
+  if (packed.size() != w.input_cts) {
+    throw std::invalid_argument(
+        "PackedMatmul: input ciphertexts do not match the matrix");
+  }
+  const std::size_t row = encoder_.row_size();
+  const std::size_t out_cts = w.output_cts;
+  const BsgsSchedule sched =
+      bsgs_schedule(strategy_, w.tokens, w.d_in, w.d_out, row);
+  const std::size_t n1 = sched.n1;
+  const std::size_t n2 = sched.n2;
+  const int step = sched.step;
+
+  PackedMatmulStats local;
+  local.input_ciphertexts = packed.size();
+  local.output_ciphertexts = out_cts;
 
   // Baby-step/giant-step over the window's alignments k = lo + h*n1 + g:
   //   result = sum_k rot_{k*step}(in) * P_k
   //          = sum_h rot_{h*n1*step}( sum_g rot_{(lo+g)*step}(in) * Q_{h,g} )
-  // with Q_{h,g} = P_k pre-rotated right by h*n1*step.  The n1 baby
-  // rotations of each input ciphertext are HOISTED (one digit decomposition
-  // for the whole set) and shared by every output chain; each chain then
-  // pays n2-1 giant rotations of its partial sums — about n1+n2
-  // key-switches per input ciphertext instead of the n1*n2 of the
-  // sequential Horner walk.  The summands are exact ring values, so the
-  // decrypted output is identical to the sequential order's.
+  // with Q_{h,g} = P_k pre-rotated right by h*n1*step (encode() built
+  // them).  The n1 baby rotations of each input ciphertext are HOISTED
+  // (one digit decomposition for the whole set) and shared by every output
+  // chain; each chain then pays n2-1 giant rotations of its partial sums —
+  // about n1+n2 key-switches per input ciphertext instead of the n1*n2 of
+  // the sequential Horner walk.  The summands are exact ring values, so
+  // the decrypted output is identical to the sequential order's.
   std::vector<Ciphertext> result(out_cts);
   std::vector<std::uint8_t> result_set(out_cts, 0);
   std::vector<PackedMatmulStats> oc_stats(out_cts);
@@ -256,48 +356,19 @@ std::vector<Ciphertext> PackedMatmul::multiply(
           ++oc_stats[oc].rotations;
           ++oc_stats[oc].giant_rotations;
         }
-        const std::size_t pre_rot =
-            h * n1 * static_cast<std::size_t>(step) % row;
         for (std::size_t g = 0; g < n1; ++g) {
           const std::size_t a = h * n1 + g;
           if (a >= sched.size) break;
-          const std::size_t k = (a + lo_shift) % sched.period;
-          // Mask P_k: target slot layout is block b <-> output
-          // o = oc*fpc + b, slot b*n + i <-> token i.
-          std::vector<u64> mask(row, 0);
-          if (strategy_ == PackingStrategy::kTokensFirst) {
-            for (std::size_t b = 0; b < fpc; ++b) {
-              const std::size_t o = oc * fpc + b;
-              if (o >= d_out) break;
-              const std::size_t j = ci * fpc + ((b + k) % fpc);
-              if (j >= d_in || j >= (ci + 1) * fpc) continue;
-              for (std::size_t i = 0; i < n; ++i) {
-                mask[b * n + i] = w_ring[j][o];
-              }
-            }
-          } else {
-            for (std::size_t tl = 0; tl < row; ++tl) {
-              const std::size_t i = tl % n;
-              const std::size_t o = oc * fpc + tl / n;
-              if (o >= d_out) continue;
-              const std::size_t src = (tl + k) % row;
-              const std::size_t l = ci * row + src;
-              if (l >= n * d_in) continue;
-              if (l / d_in != i) continue;
-              mask[tl] = w_ring[l % d_in][o];
-            }
-          }
-          if (all_zero(mask)) continue;
-          const auto pre = rotate_right_plain(mask, pre_rot, row);
-          const Plaintext mask_pt = encoder_.encode(pre);
+          const NttPlaintext& mask = w.mask(ci, oc, a);
+          if (mask.empty()) continue;
           if (acc_set) {
             // Fused acc += ct * pt: no ciphertext copy, one limb pass.
-            eval_.multiply_plain_accumulate(acc, rots[g], mask_pt);
+            eval_.multiply_plain_accumulate(acc, rots[g], mask);
             ++oc_stats[oc].plain_mults;
             ++oc_stats[oc].adds;
           } else {
             Ciphertext term = rots[g];
-            eval_.multiply_plain_inplace(term, mask_pt);
+            eval_.multiply_plain_inplace(term, mask);
             ++oc_stats[oc].plain_mults;
             acc = std::move(term);
             acc_set = true;

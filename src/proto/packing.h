@@ -14,8 +14,9 @@
 //
 // The live execution walks the alignments with baby steps and giant steps
 // (BSGS), and a tokens-first product whose d_in + d_out - 1 < M/n walks
-// only the d_in + d_out - 1 alignments that can move data: the diagonals
-// of the Halevi-Shoup method that cross the d_in x d_out matrix.
+// only the d_in + d_out - 1 alignments that can move data (the diagonals
+// of the Halevi-Shoup method that cross the d_in x d_out matrix) whenever
+// that needs fewer key switches than the full row.
 //
 // Data occupies the first batching row (M = poly_degree / 2 slots) so that
 // Rotate == rotate_rows, matching SEAL semantics.
@@ -70,6 +71,31 @@ PackedMatmulStats packed_matmul_counts(PackingStrategy strategy,
                                        std::size_t tokens, std::size_t d_in,
                                        std::size_t d_out, std::size_t slots);
 
+// A plaintext matrix W (d_in x d_out) encoded for PackedMatmul::multiply at
+// `tokens` tokens: the NTT-form mask of every alignment its BSGS schedule
+// walks, pre-rotated for its giant step.  Encoding depends only on W, the
+// packing and the HE profile, so a matrix that multiplies many ciphertexts
+// (a model weight) is encoded once and shared read-only; a per-query
+// matrix is encoded just before its multiply.
+struct EncodedMatrix {
+  PackingStrategy strategy = PackingStrategy::kTokensFirst;
+  std::size_t tokens = 0, d_in = 0, d_out = 0;
+  std::size_t input_cts = 0, output_cts = 0;
+  std::size_t window = 0;  // alignments per (input, output) ciphertext chain
+  // The profile the masks belong to: its RNS moduli and plaintext modulus.
+  std::vector<u64> q;
+  u64 t = 0;
+  // masks[(ci * output_cts + oc) * window + a]; an all-zero mask is left
+  // empty, and multiply() skips it.
+  std::vector<NttPlaintext> masks;
+
+  const NttPlaintext& mask(std::size_t ci, std::size_t oc,
+                           std::size_t a) const {
+    return masks[(ci * output_cts + oc) * window + a];
+  }
+  std::size_t nonzero_masks() const;
+};
+
 // Executes the encrypted matmul live.  X entries are ring values mod t
 // (MatI with values in [0, t)); W entries are raw signed fixed-point.
 // Returns the decrypted ring-value result (n x d_out) — callers in the
@@ -83,12 +109,18 @@ class PackedMatmul {
   std::vector<Ciphertext> encrypt_input(const MatI& x_ring,
                                         const Encryptor& enc) const;
 
+  // Server side: encode W (raw signed fixed point, lifted into Z_t) for a
+  // product at `tokens` tokens.  Masks are built in parallel.
+  EncodedMatrix encode(const MatI& w_raw, std::size_t tokens) const;
+
   // Server side: homomorphically compute X * W.  Output ciphertexts pack
   // result column o into slot block (o mod fpc): slot (o*n + i) holds the
-  // (token i, output o) ring value.
+  // (token i, output o) ring value.  Throws std::invalid_argument when `w`
+  // was encoded for another HE profile or packing, or `packed` does not
+  // hold its input.
   std::vector<Ciphertext> multiply(const std::vector<Ciphertext>& packed,
-                                   const MatI& w_raw, std::size_t tokens,
-                                   std::uint64_t t, const GaloisKeys& gk,
+                                   const EncodedMatrix& w,
+                                   const GaloisKeys& gk,
                                    PackedMatmulStats* stats) const;
 
   // Client side: decrypt the result into an (n x d_out) ring matrix.

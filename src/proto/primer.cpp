@@ -50,6 +50,23 @@ MatI one_hot_integer(const std::vector<std::size_t>& tokens,
   return x;
 }
 
+PackingStrategy linear_packing(PrimerVariant v) {
+  return v == PrimerVariant::kBase || v == PrimerVariant::kF
+             ? PackingStrategy::kFeatureBased
+             : PackingStrategy::kTokensFirst;
+}
+
+// The embedding a CHGS head of `block` merges over: WE in block 0.  Deeper
+// blocks merge their Q/K projections over an identity "embedding" of the
+// block input (integer 1 entries keep the raw domain).
+MatI chgs_embedding(const BertWeightsI& w, std::size_t block) {
+  if (block == 0) return w.we;
+  const std::size_t d = w.config.d_model;
+  MatI ident(d, d);
+  for (std::size_t i = 0; i < d; ++i) ident(i, i) = 1;
+  return ident;
+}
+
 SharePair slice_cols(const SharePair& s, std::size_t from, std::size_t count) {
   return {slice_cols(s.client, from, count), slice_cols(s.server, from, count)};
 }
@@ -161,9 +178,9 @@ const char* variant_name(PrimerVariant v) {
   return "?";
 }
 
-ModelCircuits::ModelCircuits(const BertWeightsI& weights,
-                             PrimerVariant variant, std::uint64_t t)
-    : variant(variant), t(t) {
+ModelSet::ModelSet(const BertWeightsI& weights, PrimerVariant variant,
+                   HeProfile profile)
+    : variant(variant), profile(profile), t(make_params(profile).t) {
   const auto& cfg = weights.config;
   const std::size_t n = cfg.tokens;
   const std::size_t d = cfg.d_model;
@@ -213,13 +230,57 @@ ModelCircuits::ModelCircuits(const BertWeightsI& weights,
     ln1.push_back(ln(blk.ln1_gamma, blk.ln1_beta));
     ln2.push_back(ln(blk.ln2_gamma, blk.ln2_beta));
   }
+
+  // NTT-form residues depend on the profile's moduli alone, so masks
+  // encoded under this private context multiply under any context of the
+  // profile.
+  const HeContext he(make_params(profile));
+  const BatchEncoder encoder(he);
+  const Evaluator eval(he);
+  const PackedMatmul lin(he, encoder, eval, linear_packing(variant));
+  const PackedMatmul tf(he, encoder, eval, PackingStrategy::kTokensFirst);
+  const ShareRing ring(t);
+  const std::size_t dh = cfg.head_dim();
+  masks.embed = lin.encode(weights.we, n);
+  for (std::size_t b = 0; b < weights.blocks.size(); ++b) {
+    const auto& blk = weights.blocks[b];
+    BlockMasks& m = masks.blocks.emplace_back();
+    if (merged_qk) {
+      const MatI we = chgs_embedding(weights, b);
+      for (std::size_t h = 0; h < cfg.heads; ++h) {
+        m.w_m.push_back(tf.encode(
+            chgs_combined_weight(ring, we, slice_cols(blk.wq, h * dh, dh),
+                                 slice_cols(blk.wk, h * dh, dh)),
+            n));
+      }
+    } else {
+      m.q = lin.encode(blk.wq, n);
+      m.k = lin.encode(blk.wk, n);
+    }
+    m.v = lin.encode(blk.wv, n);
+    m.o = lin.encode(blk.wo, n);
+    m.f1 = lin.encode(blk.w1, n);
+    m.f2 = lin.encode(blk.w2, n);
+  }
+  masks.cls = lin.encode(weights.w_cls, 1);
+}
+
+std::size_t ModelSet::Masks::count() const {
+  std::size_t total = embed.nonzero_masks() + cls.nonzero_masks();
+  for (const BlockMasks& b : blocks) {
+    for (const EncodedMatrix* e : {&b.q, &b.k, &b.v, &b.o, &b.f1, &b.f2}) {
+      total += e->nonzero_masks();
+    }
+    for (const EncodedMatrix& e : b.w_m) total += e.nonzero_masks();
+  }
+  return total;
 }
 
 PrimerEngine::PrimerEngine(BertWeightsI weights, PrimerVariant variant,
                            HeProfile profile, std::uint64_t seed,
-                           std::shared_ptr<const ModelCircuits> circuits)
+                           std::shared_ptr<const ModelSet> model_set)
     : w_(std::move(weights)), variant_(variant), profile_(profile),
-      seed_(seed), circuits_(std::move(circuits)) {
+      seed_(seed), model_set_(std::move(model_set)) {
   const auto& cfg = w_.config;
   auto pow2 = [](std::size_t v) { return v != 0 && (v & (v - 1)) == 0; };
   if (!pow2(cfg.tokens) || !pow2(cfg.d_model) || !pow2(cfg.head_dim())) {
@@ -231,13 +292,13 @@ PrimerEngine::PrimerEngine(BertWeightsI weights, PrimerVariant variant,
       if (b != 0) throw std::invalid_argument("CHGS requires zero Q/K biases");
     }
   }
-  const std::uint64_t t = make_params(profile_).t;
-  if (circuits_ == nullptr) {
-    circuits_ = std::make_shared<const ModelCircuits>(w_, variant_, t);
-  } else if (circuits_->variant != variant_ || circuits_->t != t ||
-             circuits_->ln1.size() != cfg.blocks) {
+  if (model_set_ == nullptr) {
+    model_set_ = std::make_shared<const ModelSet>(w_, variant_, profile_);
+  } else if (model_set_->variant != variant_ ||
+             model_set_->profile != profile_ ||
+             model_set_->ln1.size() != cfg.blocks) {
     throw std::invalid_argument(
-        "PrimerEngine: circuit set was built for another model");
+        "PrimerEngine: model set was built for another model");
   }
 }
 
@@ -352,13 +413,15 @@ PrimerRunResult PrimerEngine::run_protocol(
   // The variant picks the protocol behind each layer.  HGS and FHGS move the
   // encrypted work offline; Primer-base runs the Gazelle-style online
   // linear layer and ciphertext products, whose offline() does nothing.
-  const PackingStrategy pack = linear_packing();
+  // Every weight product multiplies the model set's encoded masks.
+  const ModelSet& set = *model_set_;
   auto linear = [&](const MatI& w, const std::vector<std::int64_t>& bias,
-                    std::size_t toks) -> std::unique_ptr<LinearProtocol> {
+                    const EncodedMatrix& w_enc)
+      -> std::unique_ptr<LinearProtocol> {
     if (offline_offload()) {
-      return std::make_unique<HgsLinear>(pc, w, bias, toks, pack);
+      return std::make_unique<HgsLinear>(pc, w, bias, w_enc);
     }
-    return std::make_unique<BaseLinear>(pc, w, bias, toks, pack);
+    return std::make_unique<BaseLinear>(pc, w, bias, w_enc);
   };
   auto product = [&](std::size_t rows, std::size_t inner,
                      std::size_t cols) -> std::unique_ptr<ProductProtocol> {
@@ -368,11 +431,7 @@ PrimerRunResult PrimerEngine::run_protocol(
     return std::make_unique<CtCtProduct>(pc, rows, inner, cols);
   };
 
-  const auto embed = linear(w_.we, {}, n);
-  // Deeper CHGS blocks merge over an identity "embedding" of the block input
-  // (integer 1 entries keep the raw domain).
-  MatI ident(d, d);
-  for (std::size_t i = 0; i < d; ++i) ident(i, i) = 1;
+  const auto embed = linear(w_.we, {}, set.masks.embed);
   struct BlockProtos {
     std::unique_ptr<LinearProtocol> q, k, v, o, f1, f2;  // no q, k under CHGS
     std::vector<std::unique_ptr<ProductProtocol>> qk, pv;  // per head
@@ -381,26 +440,28 @@ PrimerRunResult PrimerEngine::run_protocol(
   std::vector<BlockProtos> bp(cfg.blocks);
   for (std::size_t b = 0; b < cfg.blocks; ++b) {
     const auto& blk = w_.blocks[b];
+    const ModelSet::BlockMasks& mb = set.masks.blocks[b];
     if (!chgs) {
-      bp[b].q = linear(blk.wq, blk.b_q, n);
-      bp[b].k = linear(blk.wk, blk.b_k, n);
+      bp[b].q = linear(blk.wq, blk.b_q, mb.q);
+      bp[b].k = linear(blk.wk, blk.b_k, mb.k);
     }
-    bp[b].v = linear(blk.wv, blk.b_v, n);
-    bp[b].o = linear(blk.wo, blk.b_o, n);
-    bp[b].f1 = linear(blk.w1, blk.b_1, n);
-    bp[b].f2 = linear(blk.w2, blk.b_2, n);
+    bp[b].v = linear(blk.wv, blk.b_v, mb.v);
+    bp[b].o = linear(blk.wo, blk.b_o, mb.o);
+    bp[b].f1 = linear(blk.w1, blk.b_1, mb.f1);
+    bp[b].f2 = linear(blk.w2, blk.b_2, mb.f2);
     for (std::size_t h = 0; h < heads; ++h) {
       if (chgs) {
         bp[b].chgs.push_back(std::make_unique<ChgsScores>(
-            pc, n, b == 0 ? w_.we : ident, b == 0 ? w_.pos : MatI(n, d),
-            slice_cols(blk.wq, h * dh, dh), slice_cols(blk.wk, h * dh, dh)));
+            pc, n, chgs_embedding(w_, b), b == 0 ? w_.pos : MatI(n, d),
+            slice_cols(blk.wq, h * dh, dh), slice_cols(blk.wk, h * dh, dh),
+            mb.w_m[h]));
       } else {
         bp[b].qk.push_back(product(n, dh, n));
       }
       bp[b].pv.push_back(product(n, n, dh));
     }
   }
-  const auto cls = linear(w_.w_cls, w_.b_cls, 1);
+  const auto cls = linear(w_.w_cls, w_.b_cls, set.masks.cls);
 
   // Every protocol object has registered its rotation steps by now.  The
   // engine's first run ships the client's finalized evaluation keys through
@@ -416,14 +477,13 @@ PrimerRunResult PrimerEngine::run_protocol(
   // Every stage's OT shares the session's one setup.  It gets a step of its
   // own rather than riding on whichever stage garbles first.
   pc.step(off, "ot_setup", [&] { pc.ot.setup(); });
-  const ModelCircuits& gc = *circuits_;
-  auto garble = [&](const ModelCircuits::Ptr& circuit, const std::string& step,
+  auto garble = [&](const ModelSet::Ptr& circuit, const std::string& step,
                     RevealTo reveal = RevealTo::kGarbler) {
     auto stage = std::make_unique<GcStage>(pc, circuit, reveal);
     stage->offline(off, step);
     return stage;
   };
-  const auto gc_embed = garble(gc.embed, embed_step);
+  const auto gc_embed = garble(set.embed, embed_step);
   struct BlockStages {
     std::unique_ptr<GcStage> qkv, attnv, gelu;
     std::vector<std::vector<std::unique_ptr<GcStage>>> softmax;  // head, row
@@ -431,21 +491,21 @@ PrimerRunResult PrimerEngine::run_protocol(
   };
   std::vector<BlockStages> bs(cfg.blocks);
   for (std::size_t b = 0; b < cfg.blocks; ++b) {
-    bs[b].qkv = garble(gc.qkv, v_step);
+    bs[b].qkv = garble(set.qkv, v_step);
     bs[b].softmax.resize(heads);
     for (auto& rows : bs[b].softmax) {
       for (std::size_t i = 0; i < n; ++i) {
-        rows.push_back(garble(gc.softmax, "softmax"));
+        rows.push_back(garble(set.softmax, "softmax"));
       }
     }
-    bs[b].attnv = garble(gc.attnv, "attnv");
+    bs[b].attnv = garble(set.attnv, "attnv");
     for (std::size_t i = 0; i < n; ++i) {
-      bs[b].ln1.push_back(garble(gc.ln1[b], "others"));
-      bs[b].ln2.push_back(garble(gc.ln2[b], "others"));
+      bs[b].ln1.push_back(garble(set.ln1[b], "others"));
+      bs[b].ln2.push_back(garble(set.ln2[b], "others"));
     }
-    bs[b].gelu = garble(gc.gelu, "others");
+    bs[b].gelu = garble(set.gelu, "others");
   }
-  const auto gc_cls = garble(gc.cls, "others", RevealTo::kEvaluator);
+  const auto gc_cls = garble(set.cls, "others", RevealTo::kEvaluator);
   pc.checkpoint("gc_offline");
 
   // --- HGS/FHGS/CHGS offline -------------------------------------------------

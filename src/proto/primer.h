@@ -34,20 +34,27 @@ enum class PrimerVariant { kBase, kF, kFP, kFPC };
 
 const char* variant_name(PrimerVariant v);
 
-// Every garbled circuit one model's protocol garbles, built once.  No GC
-// stage depends on the query: each circuit is fixed by the model's shape
-// and layer-norm constants, the variant and the plaintext modulus t.  The
-// set builds each distinct circuit once, layers it, and shares it
-// immutably, so every stage of every inference, on any thread, garbles
-// the same object.  It holds public circuit descriptions only: every
-// garbling draws its labels from the session's RNG.
-struct ModelCircuits {
+// Everything one model's protocol builds once per (weights, variant, HE
+// profile), shared immutably by every inference on any thread: no garbled
+// circuit and no weight encoding depends on the query.
+//
+// Circuits are public descriptions: each is fixed by the model's shape,
+// its layer-norm constants, the variant and the plaintext modulus t, and
+// every garbling draws its labels from the session's RNG.  Each distinct
+// circuit is built once and layered.
+//
+// The masks are the server's weights in encoded form, so the set belongs
+// to the server: the NTT-form masks of every product whose plaintext
+// operand is a model weight (each HGS or Primer-base linear layer, and
+// each CHGS head's combined weight W_M).
+struct ModelSet {
   using Ptr = std::shared_ptr<const Circuit>;
 
-  ModelCircuits(const BertWeightsI& weights, PrimerVariant variant,
-                std::uint64_t t);
+  ModelSet(const BertWeightsI& weights, PrimerVariant variant,
+           HeProfile profile);
 
   PrimerVariant variant;
+  HeProfile profile;
   std::uint64_t t;
   // Activation circuits, deduplicated by spec: under CHGS the V-only
   // truncation (qkv) is the attention-output truncation (attnv).
@@ -55,6 +62,17 @@ struct ModelCircuits {
   Ptr softmax;  // one attention row; shared by every block, head and row
   // One pair per block: gamma/beta are baked into the circuit.
   std::vector<Ptr> ln1, ln2;
+
+  struct BlockMasks {
+    EncodedMatrix q, k, v, o, f1, f2;  // q and k stay empty under CHGS
+    std::vector<EncodedMatrix> w_m;    // CHGS: W_M per head
+  };
+  struct Masks {
+    EncodedMatrix embed, cls;
+    std::vector<BlockMasks> blocks;
+
+    std::size_t count() const;  // nonzero masks, one plain mult each
+  } masks;
 };
 
 struct PrimerRunResult {
@@ -109,14 +127,16 @@ class PrimerEngine {
  public:
   // Weights must use power-of-two tokens/d_model/head_dim (nano/micro
   // configs); kProto2048 is the intended live profile.  The engine builds
-  // the model's circuit set unless given one built for the same weights,
-  // variant and profile (PrimerServer shares one per hosted model).  It
-  // also keeps one client key set (ClientKeys) for its lifetime: the first
-  // completed run ships the keys, and later runs send none.
+  // the model's set (ModelSet) unless given one built for the same
+  // weights, variant and profile (PrimerServer shares one per hosted
+  // model); a set of another variant, profile or block count throws
+  // std::invalid_argument.  It also keeps one client key set (ClientKeys)
+  // for its lifetime: the first completed run ships the keys, and later
+  // runs send none.
   PrimerEngine(BertWeightsI weights, PrimerVariant variant,
                HeProfile profile = HeProfile::kProto2048,
                std::uint64_t seed = 7,
-               std::shared_ptr<const ModelCircuits> circuits = nullptr);
+               std::shared_ptr<const ModelSet> model_set = nullptr);
 
   // One private inference (offline + online, separately accounted).
   PrimerRunResult run(const std::vector<std::size_t>& tokens);
@@ -147,8 +167,8 @@ class PrimerEngine {
 
   const BertWeightsI& weights() const { return w_; }
   PrimerVariant variant() const { return variant_; }
-  const std::shared_ptr<const ModelCircuits>& circuits() const {
-    return circuits_;
+  const std::shared_ptr<const ModelSet>& model_set() const {
+    return model_set_;
   }
   // The client's HE key set: generated by the first run, shipped by the
   // first completed run, then reused by every later one (null before the
@@ -164,11 +184,6 @@ class PrimerEngine {
   PrimerRunResult run_protocol(const std::vector<std::size_t>& tokens,
                                ProtocolContext& pc);
 
-  PackingStrategy linear_packing() const {
-    return (variant_ == PrimerVariant::kBase || variant_ == PrimerVariant::kF)
-               ? PackingStrategy::kFeatureBased
-               : PackingStrategy::kTokensFirst;
-  }
   bool offline_offload() const { return variant_ != PrimerVariant::kBase; }
   bool merged_qk() const { return variant_ == PrimerVariant::kFPC; }
 
@@ -176,7 +191,7 @@ class PrimerEngine {
   PrimerVariant variant_;
   HeProfile profile_;
   std::uint64_t seed_;
-  std::shared_ptr<const ModelCircuits> circuits_;
+  std::shared_ptr<const ModelSet> model_set_;
   std::unique_ptr<ClientKeys> keys_;
   std::unique_ptr<PrimerRunResult> last_partial_;
 };

@@ -37,8 +37,8 @@ PrimerServer::PrimerServer(std::vector<ModelSpec> models, ServerConfig cfg)
     throw std::invalid_argument("PrimerServer: at least one model required");
   }
   for (const ModelSpec& spec : models_) {
-    circuits_.push_back(std::make_shared<const ModelCircuits>(
-        spec.weights, spec.variant, make_params(spec.profile).t));
+    model_sets_.push_back(std::make_shared<const ModelSet>(
+        spec.weights, spec.variant, spec.profile));
   }
   const std::size_t n = std::max<std::size_t>(1, cfg_.workers);
   cfg_.workers = n;
@@ -172,7 +172,7 @@ void PrimerServer::serve(const std::shared_ptr<SessionTicket>& t) {
 
   const ModelSpec& spec = models_[t->req_.model];
   PrimerEngine engine(spec.weights, spec.variant, spec.profile, spec.seed,
-                      circuits_[t->req_.model]);
+                      model_sets_[t->req_.model]);
   SessionOptions opts;
   opts.store = lease.store;
   opts.session_id = t->req_.client_id;

@@ -179,6 +179,10 @@ class PrimerServer {
   DrainReport drain(double deadline_s = -1.0);
 
   const SessionManager& sessions() const { return sessions_; }
+  // The set every session of hosted model `model` runs over.
+  const std::shared_ptr<const ModelSet>& model_set(std::size_t model) const {
+    return model_sets_.at(model);
+  }
   const ServerConfig& config() const { return cfg_; }
 
  private:
@@ -190,8 +194,9 @@ class PrimerServer {
   std::uint64_t request_fingerprint(const InferenceRequest& req) const;
 
   std::vector<ModelSpec> models_;
-  // One circuit set per hosted model, shared by all of its sessions.
-  std::vector<std::shared_ptr<const ModelCircuits>> circuits_;
+  // One ModelSet (circuits and encoded weights) per hosted model, shared
+  // by all of its sessions.
+  std::vector<std::shared_ptr<const ModelSet>> model_sets_;
   ServerConfig cfg_;
   SessionManager sessions_;
   std::atomic<bool> drain_flag_{false};

@@ -41,21 +41,28 @@ TEST(Api, RejectsNonPowerOfTwoConfigs) {
   EXPECT_THROW(PrimerEngine(w, PrimerVariant::kF), std::invalid_argument);
 }
 
-TEST(Api, RejectsCircuitSetOfAnotherModel) {
+TEST(Api, RejectsModelSetOfAnotherModel) {
   Rng rng(7);
   const auto w = quantize(BertWeightsD::random(bert_nano(), rng));
   const PrimerEngine fp(w, PrimerVariant::kFP);
-  // Same weights and profile: the set is shared, not rebuilt.
+  // Same weights, variant and profile: the set is shared, not rebuilt.
   const PrimerEngine peer(w, PrimerVariant::kFP, HeProfile::kProto2048, 7,
-                          fp.circuits());
-  EXPECT_EQ(peer.circuits(), fp.circuits());
-  // CHGS garbles other circuits; another profile has another t.
-  EXPECT_THROW(PrimerEngine(w, PrimerVariant::kFPC, HeProfile::kProto2048, 7,
-                            fp.circuits()),
-               std::invalid_argument);
-  EXPECT_THROW(PrimerEngine(w, PrimerVariant::kFP, HeProfile::kTest2048, 7,
-                            fp.circuits()),
-               std::invalid_argument);
+                          fp.model_set());
+  EXPECT_EQ(peer.model_set(), fp.model_set());
+  // Primer-F garbles the same circuits but packs its weights feature-based;
+  // CHGS garbles other circuits and encodes W_M instead of Q and K.
+  for (const PrimerVariant v : {PrimerVariant::kF, PrimerVariant::kFPC}) {
+    EXPECT_THROW(
+        PrimerEngine(w, v, HeProfile::kProto2048, 7, fp.model_set()),
+        std::invalid_argument)
+        << variant_name(v);
+  }
+  // Another profile encodes under other moduli (and another t).
+  for (const HeProfile p : {HeProfile::kTest2048, HeProfile::kProd8192}) {
+    EXPECT_THROW(PrimerEngine(w, PrimerVariant::kFP, p, 7, fp.model_set()),
+                 std::invalid_argument)
+        << make_params(p).name;
+  }
 }
 
 TEST(Api, RejectsOutOfVocabToken) {

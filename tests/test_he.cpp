@@ -188,6 +188,64 @@ TEST_F(HeTest, MultiplyPlainSlotwise) {
   }
 }
 
+TEST_F(HeTest, NttPlaintextMultipliesLikeItsPlaintext) {
+  // One transform serves every multiply, bit for bit like the Plaintext
+  // overloads that transform on each call.
+  const auto pt = encoder_->encode(random_slots(1 << 10, 64));
+  const NttPlaintext ntt = eval_->transform_to_ntt(pt);
+  const auto a = enc_sym_->encrypt(encoder_->encode(random_slots(1 << 10, 64)));
+  const auto b = enc_sym_->encrypt(encoder_->encode(random_slots(1 << 10, 64)));
+  auto bytes = [&](const Ciphertext& ct) {
+    ByteWriter w;
+    eval_->serialize(ct, w);
+    return w.take();
+  };
+  Ciphertext by_pt = a, by_ntt = a;
+  eval_->multiply_plain_inplace(by_pt, pt);
+  eval_->multiply_plain_inplace(by_ntt, ntt);
+  EXPECT_EQ(bytes(by_pt), bytes(by_ntt));
+  eval_->multiply_plain_accumulate(by_pt, b, pt);
+  eval_->multiply_plain_accumulate(by_ntt, b, ntt);
+  EXPECT_EQ(bytes(by_pt), bytes(by_ntt));
+  // An operand of another ring, or the empty one, is refused.
+  const HeContext other(make_params(HeProfile::kLight4096));
+  const NttPlaintext foreign =
+      Evaluator(other).transform_to_ntt(BatchEncoder(other).encode({1}));
+  EXPECT_THROW(eval_->multiply_plain_inplace(by_ntt, foreign),
+               std::invalid_argument);
+  EXPECT_THROW(eval_->multiply_plain_inplace(by_ntt, NttPlaintext{}),
+               std::invalid_argument);
+}
+
+TEST_F(HeTest, LiftsStayBelowEachModulus) {
+  // Signed lifts: every residue in [0, q_i), multiples of q_i included.
+  const auto q0 = static_cast<std::int64_t>(ctx_->q(0));
+  std::vector<std::int64_t> v(ctx_->degree(), 0);
+  v[0] = -q0;
+  v[1] = q0;
+  v[2] = -2 * q0;
+  v[3] = -1;
+  v[4] = q0 + 5;
+  v[5] = -(q0 + 5);
+  const RnsPoly lifted = ctx_->lift_signed(v);
+  const u64* limb = lifted.limb(0);
+  EXPECT_EQ(limb[0], 0u);
+  EXPECT_EQ(limb[1], 0u);
+  EXPECT_EQ(limb[2], 0u);
+  EXPECT_EQ(limb[3], ctx_->q(0) - 1);
+  EXPECT_EQ(limb[4], 5u);
+  EXPECT_EQ(limb[5], ctx_->q(0) - 5);
+  // Plaintext lifts copy coefficients below t and refuse one at t.
+  Plaintext pt;
+  pt.coeffs.assign(ctx_->degree(), ctx_->t() - 1);
+  const RnsPoly m = ctx_->lift_plaintext(pt);
+  for (std::size_t i = 0; i < ctx_->rns_size(); ++i) {
+    EXPECT_EQ(m.limb(i)[7], ctx_->t() - 1);
+  }
+  pt.coeffs[7] = ctx_->t();
+  EXPECT_THROW(ctx_->lift_plaintext(pt), std::invalid_argument);
+}
+
 TEST_F(HeTest, CiphertextMultiplyAndRelinearize) {
   const auto a = random_slots(1 << 9, 32);
   const auto b = random_slots(1 << 9, 32);

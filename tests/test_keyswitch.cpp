@@ -262,7 +262,7 @@ TEST(KeySwitch, BsgsMatmulMatchesSequentialDiagonalWalk) {
 
   const auto packed = mm.encrypt_input(x, f.enc);
   ASSERT_EQ(packed.size(), 1u);
-  const auto result = mm.multiply(packed, w, tokens, f.ctx.t(), gk, nullptr);
+  const auto result = mm.multiply(packed, mm.encode(w, tokens), gk, nullptr);
   const MatI bsgs = mm.decrypt_result(result, f.dec, tokens, d_out);
 
   const MatI seq = sequential_tokens_first_matmul(f, packed[0], w, tokens, gk,
@@ -301,7 +301,7 @@ TEST(KeySwitch, ArenaReuseIsDeterministicAcrossThreadsAndRuns) {
       const MatI wm = random_fp_matrix(f.rng, 16, 8, -1.0, 1.0);
       const auto packed = mm.encrypt_input(x, f.enc);
       for (const auto& r :
-           mm.multiply(packed, wm, 4, f.ctx.t(), mgk, nullptr)) {
+           mm.multiply(packed, mm.encode(wm, 4), mgk, nullptr)) {
         f.eval.serialize(r, w);
       }
       runs.push_back(w.take());

@@ -40,36 +40,38 @@ class PackingTest : public ::testing::Test {
  protected:
   static void TearDownTestSuite() { setups_.clear(); }
 
-  static HeSetup& he(HeProfile profile) {
-    auto& s = setups_[profile];
+  // Setup `copy` of `profile`: two independent contexts per profile.
+  static HeSetup& he(HeProfile profile, int copy = 0) {
+    auto& s = setups_[{profile, copy}];
     if (s == nullptr) s = std::make_unique<HeSetup>(profile);
     return *s;
   }
 
-  // Runs the live encrypted matmul with only the Galois keys of this shape
-  // and compares with the ring product.
+  // Encodes W under one context and multiplies it, as a model's set is
+  // used, under another context of the same profile with only the Galois
+  // keys of this shape.  Two inputs go through the one encoding; each
+  // result must equal the ring product.  `stats` gets the first product's
+  // counts.
   void check_matmul(PackingStrategy strategy, std::size_t n, std::size_t d_in,
                     std::size_t d_out, PackedMatmulStats* stats = nullptr,
                     HeProfile profile = HeProfile::kProto2048) {
     HeSetup& s = he(profile);
+    HeSetup& owner = he(profile, 1);
     const std::uint64_t t = s.ctx.t();
     const ShareRing ring(t);
-    // Random ring-valued input (models a masked share) and fixed-point W
-    // with no zero entry: the live loop skips all-zero masks, which the
-    // count model does not.
-    const MatI x = ring.random(s.rng, n, d_in);
+    // Fixed-point W with no zero entry: the live loop skips all-zero
+    // masks, which the count model does not.
     MatI w = random_fp_matrix(s.rng, d_in, d_out, -1.0, 1.0);
     for (auto& v : w.data()) {
       if (v == 0) v = 1;
     }
+    const EncodedMatrix w_enc =
+        PackedMatmul(owner.ctx, owner.encoder, owner.eval, strategy)
+            .encode(w, n);
 
     PackedMatmul mm(s.ctx, s.encoder, s.eval, strategy);
     const GaloisKeys gk =
         s.keygen.make_galois_keys(mm.rotation_steps(n, d_in, d_out));
-    const auto packed = mm.encrypt_input(x, s.enc);
-    const auto result = mm.multiply(packed, w, n, t, gk, stats);
-    const MatI got = mm.decrypt_result(result, s.dec, n, d_out);
-
     // Expected: X * W over the ring (weights lifted the same way).
     MatI w_ring(d_in, d_out);
     for (std::size_t j = 0; j < d_in; ++j) {
@@ -77,20 +79,30 @@ class PackingTest : public ::testing::Test {
         w_ring(j, o) = static_cast<std::int64_t>(fp_to_ring(w(j, o), t));
       }
     }
-    const MatI expect = ring.mul(ring.reduce(x), w_ring);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t o = 0; o < d_out; ++o) {
-        ASSERT_EQ(got(i, o), expect(i, o))
-            << "entry " << i << "," << o << " strategy "
-            << static_cast<int>(strategy);
+    for (int input = 0; input < 2; ++input) {
+      // Random ring-valued input (models a masked share).
+      const MatI x = ring.random(s.rng, n, d_in);
+      const auto packed = mm.encrypt_input(x, s.enc);
+      const auto result =
+          mm.multiply(packed, w_enc, gk, input == 0 ? stats : nullptr);
+      const MatI got = mm.decrypt_result(result, s.dec, n, d_out);
+      const MatI expect = ring.mul(ring.reduce(x), w_ring);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t o = 0; o < d_out; ++o) {
+          ASSERT_EQ(got(i, o), expect(i, o))
+              << "input " << input << ", entry " << i << "," << o
+              << " strategy " << static_cast<int>(strategy);
+        }
       }
     }
   }
 
-  static std::map<HeProfile, std::unique_ptr<HeSetup>> setups_;
+  static std::map<std::pair<HeProfile, int>, std::unique_ptr<HeSetup>>
+      setups_;
 };
 
-std::map<HeProfile, std::unique_ptr<HeSetup>> PackingTest::setups_;
+std::map<std::pair<HeProfile, int>, std::unique_ptr<HeSetup>>
+    PackingTest::setups_;
 
 TEST_F(PackingTest, TokensFirstSmall) {
   check_matmul(PackingStrategy::kTokensFirst, 4, 16, 8);
@@ -121,16 +133,23 @@ TEST_F(PackingTest, FeatureBasedRectangular) {
 
 TEST_F(PackingTest, TokensFirstWindowBoundaries) {
   // At 8 tokens over 1024 slots, fpc = 128 blocks.  A product with
-  // d_in + d_out - 1 < fpc runs only the alignments [-(d_out-1), d_in-1];
-  // each shape below must still equal the ring product on its own keys.
+  // d_in + d_out - 1 < fpc runs only the alignments [-(d_out-1), d_in-1]
+  // when that needs fewer key switches than the full row; each shape below
+  // must still equal the ring product on its own keys.
   HeSetup& s = he(HeProfile::kProto2048);
   PackedMatmul mm(s.ctx, s.encoder, s.eval, PackingStrategy::kTokensFirst);
   const auto has_step = [](const std::vector<int>& steps, int step) {
     return std::find(steps.begin(), steps.end(), step) != steps.end();
   };
-  // Widest windowed shape: 64 + 64 - 1 = fpc - 1, first baby at -63 blocks.
+  // 64 + 64 - 1 = fpc - 1 alignments: the window's babies (-63..-52) hold
+  // no zero alignment, so it would pay 12 + 10 key switches against the
+  // full row's 11 + 10.  The product takes the full row.
   check_matmul(PackingStrategy::kTokensFirst, 8, 64, 64);
-  EXPECT_TRUE(has_step(mm.rotation_steps(8, 64, 64), -63 * 8));
+  EXPECT_EQ(mm.rotation_steps(8, 64, 64), mm.rotation_steps(8));
+  // 100 + 20 - 1 = 119 alignments tie the full row at 21: the full row.
+  EXPECT_EQ(mm.rotation_steps(8, 100, 20), mm.rotation_steps(8));
+  // 64 + 32 - 1 = 95 alignments pay 10 + 9: the window.
+  EXPECT_TRUE(has_step(mm.rotation_steps(8, 64, 32), -31 * 8));
   // Narrowest full-row shape: 64 + 65 - 1 = fpc, the one-argument set.
   check_matmul(PackingStrategy::kTokensFirst, 8, 64, 65);
   EXPECT_EQ(mm.rotation_steps(8, 64, 65), mm.rotation_steps(8));
@@ -262,14 +281,42 @@ TEST_F(PackingTest, CountModelMatchesLiveOnEngineShapes) {
     PackedMatmulStats live;
     check_matmul(PackingStrategy::kTokensFirst, n, d_in, d_out, &live,
                  c.profile);
-    const auto model = packed_matmul_counts(
-        PackingStrategy::kTokensFirst, n, d_in, d_out,
-        he(c.profile).encoder.row_size());
+    const std::size_t row = he(c.profile).encoder.row_size();
+    const auto model = packed_matmul_counts(PackingStrategy::kTokensFirst, n,
+                                            d_in, d_out, row);
     EXPECT_EQ(live.rotations, model.rotations);
     EXPECT_EQ(live.baby_rotations, model.baby_rotations);
     EXPECT_EQ(live.giant_rotations, model.giant_rotations);
     EXPECT_EQ(live.plain_mults, model.plain_mults);
+    // The chosen schedule never costs more key switches than the full row:
+    // n1 - 1 nonzero babies per input and n2 - 1 giants per chain.
+    const auto [f1, f2] = bsgs_split(row / n);
+    EXPECT_LE(model.rotations,
+              model.input_ciphertexts *
+                  (f1 - 1 + model.output_ciphertexts * (f2 - 1)));
   }
+}
+
+TEST_F(PackingTest, MatrixEncodedForAnotherProfileOrPackingThrows) {
+  HeSetup& s = he(HeProfile::kProto2048);
+  HeSetup& other = he(HeProfile::kTest2048);  // same degree, other moduli
+  const MatI w = random_fp_matrix(s.rng, 16, 8, -1.0, 1.0);
+  PackedMatmul mm(s.ctx, s.encoder, s.eval, PackingStrategy::kTokensFirst);
+  const GaloisKeys gk = s.keygen.make_galois_keys(mm.rotation_steps(4, 16, 8));
+  const auto packed =
+      mm.encrypt_input(ShareRing(s.ctx.t()).random(s.rng, 4, 16), s.enc);
+  EXPECT_NO_THROW(mm.multiply(packed, mm.encode(w, 4), gk, nullptr));
+  const EncodedMatrix foreign =
+      PackedMatmul(other.ctx, other.encoder, other.eval,
+                   PackingStrategy::kTokensFirst)
+          .encode(w, 4);
+  EXPECT_THROW(mm.multiply(packed, foreign, gk, nullptr),
+               std::invalid_argument);
+  const EncodedMatrix feature_based =
+      PackedMatmul(s.ctx, s.encoder, s.eval, PackingStrategy::kFeatureBased)
+          .encode(w, 4);
+  EXPECT_THROW(mm.multiply(packed, feature_based, gk, nullptr),
+               std::invalid_argument);
 }
 
 TEST_F(PackingTest, NoiseBudgetSurvives) {
@@ -282,7 +329,7 @@ TEST_F(PackingTest, NoiseBudgetSurvives) {
   PackedMatmul mm(s.ctx, s.encoder, s.eval, PackingStrategy::kTokensFirst);
   const GaloisKeys gk = s.keygen.make_galois_keys(mm.rotation_steps(8, 64, 8));
   const auto packed = mm.encrypt_input(x, s.enc);
-  const auto result = mm.multiply(packed, w, 8, t, gk, nullptr);
+  const auto result = mm.multiply(packed, mm.encode(w, 8), gk, nullptr);
   for (const auto& ct : result) {
     EXPECT_GT(s.dec.noise_budget(ct), 10.0);
   }

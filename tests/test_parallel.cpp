@@ -172,7 +172,7 @@ PipelineOutput run_pipeline() {
     const auto gk =
         keygen.make_galois_keys(mm.rotation_steps(tokens, d_in, d_out));
     const auto packed = mm.encrypt_input(x, enc);
-    const auto result = mm.multiply(packed, w, tokens, ctx.t(), gk, nullptr);
+    const auto result = mm.multiply(packed, mm.encode(w, tokens), gk, nullptr);
     ByteWriter wtr;
     for (const auto& ct : result) eval.serialize(ct, wtr);
     out.matmul_ct_bytes = wtr.take();
@@ -185,7 +185,10 @@ PipelineOutput run_pipeline() {
     Rng rng(5);
     const MatI w = random_fp_matrix(rng, d_in, d_out, -1.0, 1.0);
     const std::vector<std::int64_t> bias(d_out, fp_encode(0.25));
-    HgsLinear layer(pc, w, bias, tokens, PackingStrategy::kTokensFirst);
+    const EncodedMatrix w_enc =
+        PackedMatmul(pc.he, pc.encoder, pc.eval, PackingStrategy::kTokensFirst)
+            .encode(w, tokens);
+    HgsLinear layer(pc, w, bias, w_enc);
     const MatI rc = pc.ring.random(pc.client_rng, tokens, d_in);
     layer.offline("qkv", rc);
     const MatI x = random_fp_matrix(rng, tokens, d_in, -2.0, 2.0);

@@ -25,7 +25,10 @@ TEST(HgsLinear, SharesReconstructToProduct) {
   const MatI w = random_fp_matrix(rng, din, dout, -1.0, 1.0);
   const std::vector<std::int64_t> bias(dout, fp_encode(0.25));
 
-  HgsLinear layer(pc, w, bias, n, PackingStrategy::kTokensFirst);
+  const EncodedMatrix w_enc =
+      PackedMatmul(pc.he, pc.encoder, pc.eval, PackingStrategy::kTokensFirst)
+          .encode(w, n);
+  HgsLinear layer(pc, w, bias, w_enc);
   const MatI rc = pc.ring.random(pc.client_rng, n, din);
   layer.offline("qkv", rc);
 
@@ -55,7 +58,10 @@ TEST(BaseLinear, SharesReconstructToProduct) {
   const std::size_t n = 4, din = 8, dout = 4;
   Rng rng(6);
   const MatI w = random_fp_matrix(rng, din, dout, -1.0, 1.0);
-  BaseLinear layer(pc, w, {}, n, PackingStrategy::kFeatureBased);
+  const EncodedMatrix w_enc =
+      PackedMatmul(pc.he, pc.encoder, pc.eval, PackingStrategy::kFeatureBased)
+          .encode(w, n);
+  BaseLinear layer(pc, w, {}, w_enc);
 
   const MatI x = random_fp_matrix(rng, n, din, -2.0, 2.0);
   const auto xs = pc.ring.share(x, rng);
@@ -139,7 +145,10 @@ TEST(ChgsScores, MatchesMergedScoreComputation) {
   MatI x(n, vocab);
   for (std::size_t i = 0; i < n; ++i) x(i, (i * 5) % vocab) = 1;
 
-  ChgsScores chgs(pc, n, we, pos, wq, wk);
+  const EncodedMatrix w_m =
+      PackedMatmul(pc.he, pc.encoder, pc.eval, PackingStrategy::kTokensFirst)
+          .encode(chgs_combined_weight(pc.ring, we, wq, wk), n);
+  ChgsScores chgs(pc, n, we, pos, wq, wk, w_m);
   const MatI r0 = pc.ring.random(pc.client_rng, n, vocab);
   chgs.offline("qk", r0);
   const MatI d0 = pc.ring.sub(pc.ring.reduce(x), r0);
@@ -356,14 +365,34 @@ TEST_F(PrimerE2E, OfflineOffloadShrinksOnlineTraffic) {
   EXPECT_GT(base_on.he_ct_mults, 0u);
 }
 
-// One engine garbles its shared circuit set on every inference and ships
-// its key set once.  Each block gets its own layer-norm constants, so a set
+// One engine garbles its model set's circuits and multiplies its encoded
+// weights on every inference, and ships its key set once.  Each block gets its own layer-norm constants, so a set
 // that reused one block's layer norm for another would change the logits.
 // Run 1 generates the keys, charges a key_transfer step and sends exactly
 // a fresh engine's transcript; later runs have no key_transfer step and
 // send that transcript minus its key transfer (the manifest, one frame per
 // Galois key and the relinearization key, in one flight), so any other
 // change to the transcript would change the byte, frame or flight count.
+TEST_F(PrimerE2E, ModelSetOutlivesTheEngineThatBuiltIt) {
+  // Engines own their set jointly: a second engine runs over the set after
+  // the engine that built it is gone, and stays bit-identical.
+  const BertWeightsI w = nano_weights();
+  const std::vector<std::size_t> first_tokens = {3, 17, 9, 28};
+  const std::vector<std::size_t> second_tokens = {0, 31, 15, 8};
+  std::shared_ptr<const ModelSet> set;
+  {
+    PrimerEngine original(w, PrimerVariant::kFPC);
+    set = original.model_set();
+    EXPECT_EQ(original.run(first_tokens).logits,
+              fixed_forward_chgs(w, first_tokens));
+  }
+  EXPECT_EQ(set.use_count(), 1);
+  PrimerEngine user(w, PrimerVariant::kFPC, HeProfile::kProto2048, 7, set);
+  EXPECT_EQ(user.model_set(), set);
+  EXPECT_EQ(user.run(second_tokens).logits,
+            fixed_forward_chgs(w, second_tokens));
+}
+
 TEST_F(PrimerE2E, EngineReuseTwoBlocksBitIdentical) {
   Rng rng(4242);
   auto cfg = bert_nano();
@@ -384,12 +413,29 @@ TEST_F(PrimerE2E, EngineReuseTwoBlocksBitIdentical) {
     SCOPED_TRACE(variant_name(v));
     PrimerEngine engine(w, v);
     EXPECT_EQ(engine.keys(), nullptr);
-    const ModelCircuits& set = *engine.circuits();
-    EXPECT_EQ(set.qkv == set.attnv, v == PrimerVariant::kFPC);
-    EXPECT_EQ(set.ln1.size(), 2u);
+    const ModelSet* const set = engine.model_set().get();
+    EXPECT_EQ(set->qkv == set->attnv, v == PrimerVariant::kFPC);
+    EXPECT_EQ(set->ln1.size(), 2u);
+    // Both blocks' weights are encoded: W_M per head under CHGS, Q and K
+    // otherwise.
+    ASSERT_EQ(set->masks.blocks.size(), 2u);
+    for (const auto& b : set->masks.blocks) {
+      EXPECT_EQ(b.w_m.size(), v == PrimerVariant::kFPC ? cfg.heads : 0u);
+      EXPECT_EQ(b.q.masks.empty(), v == PrimerVariant::kFPC);
+    }
     for (std::size_t q = 0; q < queries.size(); ++q) {
       const auto& tokens = queries[q];
       const PrimerRunResult got = engine.run(tokens);
+      // One set serves every query: the engine neither rebuilds it nor
+      // lets a session keep a reference past its run.
+      EXPECT_EQ(engine.model_set().get(), set);
+      EXPECT_EQ(engine.model_set().use_count(), 1);
+      if (v == PrimerVariant::kFP) {
+        // Primer-FP's offline plaintext multiplies are its HGS weight
+        // products: one per mask of the set.
+        EXPECT_EQ(got.costs.phase_total("offline").he_mults,
+                  set->masks.count());
+      }
       EXPECT_EQ(got.logits, v == PrimerVariant::kFPC
                                 ? fixed_forward_chgs(w, tokens)
                                 : ref.forward(tokens));

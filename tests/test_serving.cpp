@@ -10,6 +10,7 @@
 // cleanly after.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -87,6 +88,39 @@ TEST(Serving, ConcurrentSessionsBitIdenticalToReference) {
   EXPECT_EQ(s.shed, 0u);
   EXPECT_GT(s.p50_latency_s, 0.0);
   EXPECT_GE(s.p99_latency_s, s.p50_latency_s);
+}
+
+TEST(Serving, ConcurrentSessionsShareTheModelSet) {
+  // Every session of a hosted model runs over the server's one ModelSet
+  // (circuits and encoded weights): while sessions run, their engines hold
+  // it beside the server, and the set is never rebuilt.
+  ServerConfig cfg;
+  cfg.workers = 4;
+  PrimerServer server({nano_spec()}, cfg);
+  const std::shared_ptr<const ModelSet>& set = server.model_set(0);
+  const ModelSet* const built = set.get();
+  std::vector<std::shared_ptr<SessionTicket>> tickets;
+  for (std::uint64_t c = 1; c <= 4; ++c) {
+    tickets.push_back(
+        server.submit(request(c, c % 2 == 0 ? kTokensAlt : kTokens)));
+  }
+  long most_owners = set.use_count();
+  const auto all_done = [&] {
+    return std::all_of(tickets.begin(), tickets.end(),
+                       [](const auto& t) { return t->done(); });
+  };
+  while (!all_done()) {
+    most_owners = std::max(most_owners, set.use_count());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(most_owners, 1);
+  EXPECT_EQ(server.model_set(0).get(), built);
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    const SessionOutcome out = tickets[i]->wait();
+    ASSERT_EQ(out.status, SessionStatus::kCompleted) << out.error;
+    EXPECT_EQ(out.result.logits, i % 2 == 0 ? fixture().ref
+                                            : fixture().ref_alt);
+  }
 }
 
 TEST(Serving, RejectsMalformedRequests) {
