@@ -24,8 +24,6 @@ class ByteWriter {
 
   void i64(std::int64_t v) { append(&v, sizeof v); }
 
-  void f64(double v) { append(&v, sizeof v); }
-
   void bytes(const void* data, std::size_t n) { append(data, n); }
 
   void vec_u64(const std::vector<std::uint64_t>& v) {
@@ -86,12 +84,6 @@ class ByteReader {
 
   std::int64_t i64() {
     std::int64_t v;
-    extract(&v, sizeof v);
-    return v;
-  }
-
-  double f64() {
-    double v;
     extract(&v, sizeof v);
     return v;
   }

@@ -73,8 +73,8 @@ struct PhaseCost {
   double gc_garble_seconds = 0.0;
   double gc_eval_seconds = 0.0;
   std::uint64_t gc_table_bytes = 0;  // garbled-table payload shipped
-  // Smallest estimated noise budget (bits) observed at any decryption in
-  // this step; +inf when the step decrypted nothing.
+  // Smallest noise budget (bits) measured at any decryption in this step;
+  // +inf when the step decrypted nothing.
   double min_noise_margin_bits = std::numeric_limits<double>::infinity();
 
   double total_seconds() const { return compute_seconds + network_seconds; }

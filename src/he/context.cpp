@@ -1,7 +1,6 @@
 #include "he/context.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "common/parallel.h"
@@ -47,8 +46,8 @@ HeContext::HeContext(HeParams params) : params_(std::move(params)) {
       if (j != i) hat = hat.mul_u64(params_.q[j]);
     }
     q_hat_.push_back(hat);
-    inv_q_hat_.push_back(inv_mod(hat.mod_u64(params_.q[i]), params_.q[i]));
-    q_mod_t_partial_.push_back(hat.mod_u64(params_.t));
+    const u64 qi = params_.q[i];
+    inv_q_hat_.emplace_back(inv_mod(hat.mod_u64(qi), qi), qi);
   }
   q_mod_t_ = q_total_.mod_u64(params_.t);
 }
@@ -197,40 +196,27 @@ RnsPoly HeContext::lift_plaintext(const Plaintext& pt) const {
   return out;
 }
 
-u64 HeContext::compose_center_mod_t(const std::vector<u64>& residues) const {
+u64 HeContext::compose_center_mod_t(const std::vector<u64>& residues,
+                                    U256& noise) const {
   // x = sum_i ([residue_i * inv_q_hat_i]_{q_i}) * q_hat_i, then reduce into
   // [0, q).  The sum is < k*q so at most (k-1) subtractions are needed.
   U256 x;
   for (std::size_t i = 0; i < residues.size(); ++i) {
-    const u64 s = mul_mod(residues[i], inv_q_hat_[i], params_.q[i]);
+    const u64 s = inv_q_hat_[i].mul(residues[i], params_.q[i]);
     x += q_hat_[i].mul_u64(s);
   }
   while (x >= q_total_) x -= q_total_;
-  // Centered representative: if x > q/2, the signed value is x - q.
   const u64 t = params_.t;
   if (x >= q_half_) {
-    // (x - q) mod t == (x mod t + t - q mod t) mod t
-    const u64 xm = x.mod_u64(t);
-    return (xm + t - q_mod_t_ % t) % t;
+    // Centered value x - q < 0: m = (x - q) mod t, and |x - q - m| is
+    // q - x + m.
+    const u64 m = (x.mod_u64(t) + t - q_mod_t_) % t;
+    noise = q_total_ - x + U256::from_u64(m);
+    return m;
   }
-  return x.mod_u64(t);
-}
-
-double HeContext::compose_center_log2(const std::vector<u64>& residues) const {
-  U256 x;
-  for (std::size_t i = 0; i < residues.size(); ++i) {
-    const u64 s = mul_mod(residues[i], inv_q_hat_[i], params_.q[i]);
-    x += q_hat_[i].mul_u64(s);
-  }
-  while (x >= q_total_) x -= q_total_;
-  U256 mag = x;
-  if (x >= q_half_) mag = q_total_ - x;
-  // log2 of a U256.
-  double val = 0.0;
-  for (int i = 3; i >= 0; --i) {
-    val = val * 18446744073709551616.0 + static_cast<double>(mag.limb[i]);
-  }
-  return val > 0 ? std::log2(val) : 0.0;
+  const u64 m = x.mod_u64(t);
+  noise = x - U256::from_u64(m);
+  return m;
 }
 
 void HeContext::apply_galois_coeff(const RnsPoly& in, u64 elt,
@@ -328,21 +314,6 @@ std::uint32_t HeContext::galois_decomp_bits() const {
     max_bits = std::max(max_bits, bits);
   }
   return (max_bits + 1) / 2;
-}
-
-double HeContext::kswitch_noise_log2(std::uint32_t decomp_bits) const {
-  double digit_bits = 0.0;
-  if (decomp_bits != 0) {
-    digit_bits = static_cast<double>(decomp_bits);
-  } else {
-    for (const u64 p : params_.q) {
-      digit_bits = std::max(digit_bits, std::log2(static_cast<double>(p)));
-    }
-  }
-  const double digits =
-      static_cast<double>(decomp_layout(decomp_bits).size());
-  return std::log2(digits) + std::log2(static_cast<double>(degree())) +
-         digit_bits + std::log2(static_cast<double>(params_.t)) + 2.0;
 }
 
 u64 HeContext::galois_elt_from_step(int step) const {

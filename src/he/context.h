@@ -67,12 +67,12 @@ class HeContext {
   // a coefficient not below t.
   RnsPoly lift_plaintext(const Plaintext& p) const;
 
-  // --- decryption helpers --------------------------------------------------
-  // CRT-composes RNS residues of one coefficient, centers mod q, reduces
-  // mod t (signed), returning the value in [0, t).
-  u64 compose_center_mod_t(const std::vector<u64>& residues) const;
-  // Log2 of the centered absolute value (for noise measurement).
-  double compose_center_log2(const std::vector<u64>& residues) const;
+  // --- decryption helper ---------------------------------------------------
+  // CRT-composes the RNS residues of one coefficient into its centered
+  // representative x mod q and returns the plaintext residue m = x mod t in
+  // [0, t).  `noise` receives |x - m|, the part of x that is not message.
+  u64 compose_center_mod_t(const std::vector<u64>& residues,
+                           U256& noise) const;
 
   // --- Galois automorphisms -----------------------------------------------
   // x -> x^elt on a coefficient-form polynomial (elt odd, mod 2n).
@@ -109,9 +109,6 @@ class HeContext {
   // from ~q_i to ~sqrt(q_i).  Rotations need that headroom because BSGS
   // matmuls multiply plaintext masks into ALREADY-ROTATED ciphertexts.
   std::uint32_t galois_decomp_bits() const;
-  // Additive key-switch noise estimate (log2) for keys of the given width:
-  // digits * n * digit_magnitude * t * eta.
-  double kswitch_noise_log2(std::uint32_t decomp_bits) const;
 
  private:
   HeParams params_;
@@ -119,10 +116,9 @@ class HeContext {
   std::unique_ptr<Ntt> plain_ntt_;
   std::vector<Barrett> barretts_;
   std::vector<U256> q_hat_;
-  std::vector<u64> inv_q_hat_;
+  std::vector<ShoupMul> inv_q_hat_;  // (q/q_i)^-1 mod q_i
   U256 q_total_;
   U256 q_half_;
-  std::vector<u64> q_mod_t_partial_;  // (q_hat_i mod t) for mod-t reduction
   u64 q_mod_t_ = 0;
   // Lazily-built NTT-domain Galois permutation tables (std::map node
   // stability keeps returned references valid across later insertions).

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <mutex>
 #include <stdexcept>
 
 #include "common/env.h"
@@ -139,8 +140,6 @@ Ciphertext Encryptor::encrypt(const Plaintext& pt) const {
   Ciphertext ct;
   ct.parts.push_back(std::move(c0));
   ct.parts.push_back(std::move(a));
-  // |t*e| <= t * eta
-  ct.noise_log2 = std::log2(static_cast<double>(ctx_.t())) + std::log2(4.0);
   return ct;
 }
 
@@ -171,29 +170,47 @@ RnsPoly Decryptor::dot_with_key_powers(const Ciphertext& ct) const {
   return acc;
 }
 
-Plaintext Decryptor::decrypt(const Ciphertext& ct) const {
-  double budget = estimated_budget(ct);
-  if (budget <= floor_bits_) {
-    // The tracked estimate is a worst-case screen and can exhaust on
-    // profiles whose q is deliberately undersized (kTest2048) while the
-    // actual noise is still fine.  Before refusing, measure the ground
-    // truth; the extra decryption pass is only paid on this rare path.
-    // A wrapped ciphertext measures within ~0.001 bits of the cliff (its
-    // noise is uniform mod q), so anything under 0.01 bits is garbage.
-    budget = noise_budget(ct);
-    if (budget < 0.01 + floor_bits_) {
-      // The refused decryption's margin still feeds the telemetry: the
-      // engine's partial result reports how close to the cliff it died.
-      record_margin(budget);
-      throw NoiseBudgetExhausted(budget, ct.noise_log2);
+Decryptor::Decryption Decryptor::decrypt_and_measure(
+    const Ciphertext& ct) const {
+  const RnsPoly acc = dot_with_key_powers(ct);
+  const std::size_t n = ctx_.degree();
+  const std::size_t k = ctx_.rns_size();
+  Decryption out;
+  out.pt.coeffs.resize(n);
+  // Per-coefficient CRT composition is independent pure arithmetic.  Each
+  // chunk keeps its largest noise, and the chunks merge under one lock.
+  U256 max_noise;
+  std::mutex max_mu;
+  parallel_for_chunks(0, n, [&](std::size_t lo, std::size_t hi) {
+    std::vector<u64> residues(k);
+    U256 noise, chunk_max;
+    for (std::size_t j = lo; j < hi; ++j) {
+      for (std::size_t i = 0; i < k; ++i) residues[i] = acc.limb(i)[j];
+      out.pt.coeffs[j] = ctx_.compose_center_mod_t(residues, noise);
+      if (chunk_max < noise) chunk_max = noise;
     }
-  }
-  record_margin(budget);
-  return decrypt_unchecked(ct);
+    const std::lock_guard<std::mutex> lock(max_mu);
+    if (max_noise < chunk_max) max_noise = chunk_max;
+  });
+  const double noise = max_noise.to_double();
+  out.budget_bits =
+      ctx_.params().log2_q() - 1.0 - (noise > 0.0 ? std::log2(noise) : 0.0);
+  return out;
 }
 
-double Decryptor::estimated_budget(const Ciphertext& ct) const {
-  return ctx_.params().log2_q() - 1.0 - ct.noise_log2;
+Plaintext Decryptor::decrypt(const Ciphertext& ct) const {
+  Decryption d = decrypt_and_measure(ct);
+  // A refused decryption's margin still feeds the telemetry: the engine's
+  // partial result reports how close to the cliff it died.
+  record_margin(d.budget_bits);
+  if (d.budget_bits < floor_bits_ + 0.01) {
+    throw NoiseBudgetExhausted(d.budget_bits);
+  }
+  return std::move(d.pt);
+}
+
+double Decryptor::noise_budget(const Ciphertext& ct) const {
+  return decrypt_and_measure(ct).budget_bits;
 }
 
 void Decryptor::record_margin(double bits) const {
@@ -208,67 +225,11 @@ double Decryptor::take_min_margin() const {
                               std::memory_order_relaxed);
 }
 
-Plaintext Decryptor::decrypt_unchecked(const Ciphertext& ct) const {
-  RnsPoly acc = dot_with_key_powers(ct);
-  const std::size_t n = ctx_.degree();
-  const std::size_t k = ctx_.rns_size();
-  Plaintext pt;
-  pt.coeffs.resize(n);
-  // Per-coefficient CRT composition is independent pure arithmetic.
-  parallel_for_chunks(0, n, [&](std::size_t lo, std::size_t hi) {
-    std::vector<u64> residues(k);
-    for (std::size_t j = lo; j < hi; ++j) {
-      for (std::size_t i = 0; i < k; ++i) residues[i] = acc.limb(i)[j];
-      pt.coeffs[j] = ctx_.compose_center_mod_t(residues);
-    }
-  });
-  return pt;
-}
-
-double Decryptor::noise_budget(const Ciphertext& ct) const {
-  RnsPoly acc = dot_with_key_powers(ct);
-  // Deliberately unchecked: this is the measurement path, and it must be
-  // able to inspect ciphertexts that are already past the cliff.
-  const Plaintext pt = decrypt_unchecked(ct);
-  // noise = centered(acc) - m over the integers; since m < t << q, we can
-  // subtract the lifted message per RNS component and measure the result.
-  RnsPoly m = ctx_.lift_plaintext(pt);
-  const std::size_t n = ctx_.degree();
-  const std::size_t k = ctx_.rns_size();
-  double max_log = 0.0;
-  std::vector<u64> residues(k);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < k; ++i) {
-      residues[i] = sub_mod(acc.limb(i)[j], m.limb(i)[j], ctx_.q(i));
-    }
-    max_log = std::max(max_log, ctx_.compose_center_log2(residues));
-  }
-  const double budget = ctx_.params().log2_q() - 1.0 - max_log;
-  return budget;
-}
-
 // ---------------------------------------------------------------------------
 // Evaluator
 // ---------------------------------------------------------------------------
 
 Evaluator::Evaluator(const HeContext& ctx) : ctx_(ctx) {}
-
-
-namespace {
-
-// Tight worst-case bound for the noise of a sum: |e_a + e_b| <= |e_a| + |e_b|,
-// i.e. log2(2^a + 2^b).  The previous max(a,b)+1 recurrence is the same bound
-// for a single add, but applied along a k-term accumulation chain it compounds
-// to +k bits where the true triangle-inequality growth is +log2(k) — the
-// estimate went exponentially pessimistic exactly where the packed matmuls do
-// the most work.
-double noise_sum_log2(double a, double b) {
-  const double hi = std::max(a, b);
-  const double lo = std::min(a, b);
-  return hi + std::log2(1.0 + std::exp2(lo - hi));
-}
-
-}  // namespace
 
 void Evaluator::add_inplace(Ciphertext& a, const Ciphertext& b) const {
   while (a.parts.size() < b.parts.size()) {
@@ -277,7 +238,6 @@ void Evaluator::add_inplace(Ciphertext& a, const Ciphertext& b) const {
   for (std::size_t i = 0; i < b.parts.size(); ++i) {
     ctx_.add_inplace(a.parts[i], b.parts[i]);
   }
-  a.noise_log2 = noise_sum_log2(a.noise_log2, b.noise_log2);
 }
 
 void Evaluator::sub_inplace(Ciphertext& a, const Ciphertext& b) const {
@@ -287,7 +247,6 @@ void Evaluator::sub_inplace(Ciphertext& a, const Ciphertext& b) const {
   for (std::size_t i = 0; i < b.parts.size(); ++i) {
     ctx_.sub_inplace(a.parts[i], b.parts[i]);
   }
-  a.noise_log2 = noise_sum_log2(a.noise_log2, b.noise_log2);
 }
 
 void Evaluator::negate_inplace(Ciphertext& a) const {
@@ -329,8 +288,6 @@ void Evaluator::multiply_plain_inplace(Ciphertext& a,
   check_operand(a, pt);
   ++counters_.plain_mults;
   for (auto& part : a.parts) ctx_.multiply_inplace(part, pt.poly);
-  a.noise_log2 += std::log2(static_cast<double>(ctx_.degree())) +
-                  std::log2(static_cast<double>(ctx_.t()));
 }
 
 void Evaluator::multiply_plain_inplace(Ciphertext& a,
@@ -356,10 +313,6 @@ void Evaluator::multiply_plain_accumulate(Ciphertext& acc, const Ciphertext& a,
   for (std::size_t i = 0; i < a.parts.size(); ++i) {
     ctx_.multiply_accumulate(acc.parts[i], a.parts[i], pt.poly);
   }
-  const double term_noise = a.noise_log2 +
-                            std::log2(static_cast<double>(ctx_.degree())) +
-                            std::log2(static_cast<double>(ctx_.t()));
-  acc.noise_log2 = noise_sum_log2(acc.noise_log2, term_noise);
 }
 
 Ciphertext Evaluator::multiply(const Ciphertext& a, const Ciphertext& b) const {
@@ -375,8 +328,6 @@ Ciphertext Evaluator::multiply(const Ciphertext& a, const Ciphertext& b) const {
   ctx_.add_inplace(mid, mid2);
   out.parts.push_back(std::move(mid));
   out.parts.push_back(ctx_.multiply(a.parts[1], b.parts[1]));
-  out.noise_log2 = a.noise_log2 + b.noise_log2 +
-                   std::log2(static_cast<double>(ctx_.degree()));
   return out;
 }
 
@@ -530,19 +481,7 @@ void Evaluator::relinearize_inplace(Ciphertext& a, const RelinKey& rk) const {
   // diagonal and only inverse-transforms once for the off-diagonal digits.
   key_switch(a.parts[2], rk.key, a.parts[0], a.parts[1]);
   a.parts.pop_back();
-  a.noise_log2 = noise_sum_log2(a.noise_log2,
-                                ctx_.kswitch_noise_log2(rk.key.decomp_bits));
 }
-
-namespace {
-
-// Rotation noise bound shared by the single and hoisted paths.
-double rotation_noise_log2(const HeContext& ctx, const KSwitchKey& key,
-                           double in_noise) {
-  return noise_sum_log2(in_noise, ctx.kswitch_noise_log2(key.decomp_bits));
-}
-
-}  // namespace
 
 void Evaluator::apply_galois_inplace(Ciphertext& a, u64 elt,
                                      const GaloisKeys& gk) const {
@@ -568,7 +507,6 @@ void Evaluator::apply_galois_inplace(Ciphertext& a, u64 elt,
   hoist.apply(elt, key, acc0, acc1);
   a.parts[0] = std::move(acc0);
   a.parts[1] = std::move(acc1);
-  a.noise_log2 = rotation_noise_log2(ctx_, key, a.noise_log2);
 }
 
 std::vector<Ciphertext> Evaluator::rotate_rows_many(
@@ -627,7 +565,6 @@ std::vector<Ciphertext> Evaluator::rotate_rows_many(
     hoist->apply(elts[s], key, acc0, acc1);
     r.parts.push_back(std::move(acc0));
     r.parts.push_back(std::move(acc1));
-    r.noise_log2 = rotation_noise_log2(ctx_, key, src->noise_log2);
     out[s] = std::move(r);
   });
   std::uint64_t rotated = 0;
@@ -709,7 +646,6 @@ void Evaluator::serialize(const Ciphertext& ct, ByteWriter& w) const {
     // Limbs are one contiguous buffer — a single memcpy-sized append.
     w.bytes(part.data(), part.word_count() * sizeof(u64));
   }
-  w.f64(ct.noise_log2);
 }
 
 Ciphertext Evaluator::deserialize(ByteReader& r) const {
@@ -749,15 +685,6 @@ Ciphertext Evaluator::deserialize(ByteReader& r) const {
       }
     }
     ct.parts.push_back(std::move(poly));
-  }
-  ct.noise_log2 = r.f64();
-  // The noise estimate feeds the decrypt guard; a NaN/Inf or wildly
-  // out-of-range value from the wire would disarm it.
-  if (!std::isfinite(ct.noise_log2) || ct.noise_log2 < 0.0 ||
-      ct.noise_log2 > 2.0 * ctx_.params().log2_q()) {
-    throw std::out_of_range("deserialize: noise estimate " +
-                            std::to_string(ct.noise_log2) +
-                            " bits is not a sane value");
   }
   return ct;
 }

@@ -110,50 +110,46 @@ class Encryptor {
   Rng& rng_;
 };
 
-// Thrown instead of returning silently-garbled plaintext when a ciphertext's
-// tracked noise estimate says the budget is spent.  Carries the numbers so
-// callers can report how far past the cliff the computation went.
+// Thrown instead of returning a silently garbled plaintext when the noise a
+// decryption measures leaves no budget above the floor.  Carries the
+// measured budget so callers can report how far past the cliff the
+// computation went.
 class NoiseBudgetExhausted : public std::runtime_error {
  public:
-  NoiseBudgetExhausted(double estimated_budget_bits, double noise_log2_bits)
-      : std::runtime_error(
-            "NoiseBudgetExhausted: estimated noise budget " +
-            std::to_string(estimated_budget_bits) +
-            " bits (tracked noise ~2^" + std::to_string(noise_log2_bits) +
-            ") — decryption would be garbage"),
-        budget_(estimated_budget_bits),
-        noise_log2_(noise_log2_bits) {}
+  explicit NoiseBudgetExhausted(double budget_bits)
+      : std::runtime_error("NoiseBudgetExhausted: measured noise budget " +
+                           std::to_string(budget_bits) +
+                           " bits leaves no margin above the floor"),
+        budget_(budget_bits) {}
 
-  double estimated_budget_bits() const { return budget_; }
-  double noise_log2_bits() const { return noise_log2_; }
+  double budget_bits() const { return budget_; }
 
  private:
   double budget_;
-  double noise_log2_;
 };
 
 class Decryptor {
  public:
   Decryptor(const HeContext& ctx, const SecretKey& sk);
 
-  // Decrypts after validating the ciphertext's tracked noise estimate;
-  // throws NoiseBudgetExhausted when the estimated budget is gone rather
-  // than returning garbage.  Successful decryptions fold their margin into
-  // the min-margin telemetry (take_min_margin).
+  // Decrypts and measures the noise in one pass over c0 + c1*s + ...
+  // (noise_budget).  Throws NoiseBudgetExhausted when the measured budget
+  // is below noise_floor_bits() + 0.01 rather than returning garbage: a
+  // wrapped ciphertext's noise is uniform mod q, so it measures within
+  // ~0.001 bits of 0.  Every decryption, refused or not, folds its budget
+  // into the min-margin telemetry (take_min_margin).
   Plaintext decrypt(const Ciphertext& ct) const;
 
-  // Remaining noise budget in bits measured from the actual decryption
-  // noise: log2(q) - 1 - log2|t*e|.  Negative budget means decryption is
-  // no longer guaranteed correct.
+  // Remaining noise budget in bits: log2(q) - 1 - log2 max|x - m|, where x
+  // runs over the centered coefficients of c0 + c1*s + ... and m is x's
+  // plaintext residue in [0, t).  Near 0 the plaintext is garbage.  The
+  // same pass as decrypt without the refusal or the telemetry, so it can
+  // inspect a ciphertext that is already past the cliff.
   double noise_budget(const Ciphertext& ct) const;
 
-  // Budget predicted from the per-op noise estimate the Evaluator
-  // maintains (ct.noise_log2) — conservative, no secret key math.
-  double estimated_budget(const Ciphertext& ct) const;
-
-  // Smallest estimated budget seen across decryptions since the last call;
-  // +inf when nothing was decrypted.  Thread-safe (decrypt runs under the
-  // thread pool) — this is the per-step noise margin the runtime reports.
+  // Smallest budget seen across decryptions since the last call; +inf when
+  // nothing was decrypted.  Thread-safe (decrypt runs under the thread
+  // pool) — this is the per-step noise margin the runtime reports.
   double take_min_margin() const;
 
   // Operational floor (bits) below which decryption refuses even when the
@@ -164,7 +160,11 @@ class Decryptor {
   double noise_floor_bits() const { return floor_bits_; }
 
  private:
-  Plaintext decrypt_unchecked(const Ciphertext& ct) const;
+  struct Decryption {
+    Plaintext pt;
+    double budget_bits = 0.0;
+  };
+  Decryption decrypt_and_measure(const Ciphertext& ct) const;
   RnsPoly dot_with_key_powers(const Ciphertext& ct) const;
   void record_margin(double bits) const;
 
@@ -289,7 +289,8 @@ class Evaluator {
   // Galois-key steps rotate_sum_inplace(width) needs.
   static std::vector<int> rotate_sum_steps(std::size_t width);
 
-  // Serialization (for channel byte accounting).
+  // Serialization (for channel byte accounting).  A ciphertext travels as
+  // its parts alone; the receiver measures the noise when it decrypts.
   void serialize(const Ciphertext& ct, ByteWriter& w) const;
   Ciphertext deserialize(ByteReader& r) const;
 

@@ -23,7 +23,7 @@
 namespace primer {
 
 enum class HeProfile {
-  // n = 2048, one 54-bit prime, t ~ 2^20.  NOT SECURE — unit tests only.
+  // n = 2048, two 40-bit primes, t ~ 2^20.  NOT SECURE — unit tests only.
   kTest2048,
   // n = 4096, two 50-bit primes (q ~ 100 bits <= 109 -> 128-bit secure),
   // t ~ 2^20.  Additive workloads with small plaintext moduli; microbenches.

@@ -57,12 +57,10 @@ struct RnsPoly {
 
 // A ciphertext is a vector of polynomials (size 2 normally, 3 after a
 // ciphertext-ciphertext multiplication until relinearized).  Decryption of
-// (c0, c1, c2, ...) computes c0 + c1*s + c2*s^2 + ...
+// (c0, c1, c2, ...) computes c0 + c1*s + c2*s^2 + ... and measures the noise
+// there; a ciphertext carries no noise estimate of its own.
 struct Ciphertext {
   std::vector<RnsPoly> parts;
-  // Heuristic upper bound on log2 of the noise coefficient; maintained by
-  // the evaluator so callers can check remaining budget.
-  double noise_log2 = 0.0;
 
   std::size_t size() const { return parts.size(); }
   bool empty() const { return parts.empty(); }

@@ -2,8 +2,9 @@
 //
 // Used only on the narrow decryption path: CRT-composing the RNS residues
 // of c0 + c1*s into the single integer representative mod q (q up to ~160
-// bits), centering it, and reducing mod the plaintext modulus t.  Only the
-// operations that path needs are provided.
+// bits), centering it, reducing mod the plaintext modulus t, and keeping the
+// largest noise |x - m| the pass meets.  Only the operations that path needs
+// are provided.
 #pragma once
 
 #include <array>
@@ -21,17 +22,6 @@ struct U256 {
     return r;
   }
 
-  static U256 from_u128(unsigned __int128 x) {
-    U256 r;
-    r.limb[0] = static_cast<std::uint64_t>(x);
-    r.limb[1] = static_cast<std::uint64_t>(x >> 64);
-    return r;
-  }
-
-  bool is_zero() const {
-    return (limb[0] | limb[1] | limb[2] | limb[3]) == 0;
-  }
-
   int compare(const U256& o) const {
     for (int i = 3; i >= 0; --i) {
       if (limb[i] != o.limb[i]) return limb[i] < o.limb[i] ? -1 : 1;
@@ -41,7 +31,6 @@ struct U256 {
 
   bool operator<(const U256& o) const { return compare(o) < 0; }
   bool operator>=(const U256& o) const { return compare(o) >= 0; }
-  bool operator==(const U256& o) const { return compare(o) == 0; }
 
   U256& operator+=(const U256& o) {
     unsigned __int128 carry = 0;
@@ -100,15 +89,13 @@ struct U256 {
     return static_cast<std::uint64_t>(rem);
   }
 
-  // Doubles the value (used for the centered-representative test 2x >= q).
-  U256 doubled() const {
-    U256 r;
-    std::uint64_t carry = 0;
-    for (int i = 0; i < 4; ++i) {
-      r.limb[i] = (limb[i] << 1) | carry;
-      carry = limb[i] >> 63;
+  // The value as a (rounded) double, for the logarithm of a noise magnitude.
+  double to_double() const {
+    double v = 0.0;
+    for (int i = 3; i >= 0; --i) {
+      v = v * 18446744073709551616.0 + static_cast<double>(limb[i]);
     }
-    return r;
+    return v;
   }
 };
 

@@ -86,8 +86,8 @@ struct PrimerRunResult {
   double online_cpu_s = 0;
   std::uint64_t total_bytes = 0;
   std::uint64_t rounds = 0;
-  // Smallest estimated noise budget any decryption ran with (+inf if
-  // nothing was decrypted).
+  // Smallest noise budget any decryption measured (+inf if nothing was
+  // decrypted).
   double min_noise_margin_bits = 0;
   // GC nonlinear-layer totals across all stages of the run: AND gates
   // garbled, garble/eval compute (wall) and garbled-table bytes shipped.

@@ -382,10 +382,15 @@ std::vector<Ciphertext> ProtocolContext::recv_cts(Party to) {
       end[i] = begin[i] + len;
       r.skip(len);
     }
+    if (!r.done()) throw std::runtime_error("trailing bytes after last slice");
     std::vector<Ciphertext> cts(count);
     parallel_for(0, count, [&](std::size_t i) {
       ByteReader slice(bytes, begin[i], end[i]);
       cts[i] = eval.deserialize(slice);
+      if (!slice.done()) {
+        throw std::runtime_error("trailing bytes after ciphertext " +
+                                 std::to_string(i));
+      }
     });
     return cts;
   } catch (const ProtocolError&) {
@@ -435,6 +440,7 @@ MatI ProtocolContext::recv_ring(Party to, std::size_t rows, std::size_t cols) {
       }
       v = x;
     }
+    if (!r.done()) throw std::runtime_error("trailing bytes after last share");
     return m;
   } catch (const std::exception& e) {
     throw ProtocolError(ProtocolErrorKind::kMalformed,

@@ -131,13 +131,11 @@ TEST(Serialize, PrimitiveRoundTrip) {
   w.u32(123456);
   w.u64(0xdeadbeefcafebabeULL);
   w.i64(-42);
-  w.f64(3.25);
   ByteReader r(w.data());
   EXPECT_EQ(r.u8(), 7);
   EXPECT_EQ(r.u32(), 123456u);
   EXPECT_EQ(r.u64(), 0xdeadbeefcafebabeULL);
   EXPECT_EQ(r.i64(), -42);
-  EXPECT_DOUBLE_EQ(r.f64(), 3.25);
   EXPECT_TRUE(r.done());
 }
 

@@ -3,11 +3,15 @@
 //
 // Wire bytes, flights, frames, HE operation counts and garbled-circuit sizes
 // depend neither on the host, the thread count, the kernel tier nor the
-// tokens, so every one is pinned to an exact value here.  A change that moves
-// a count must edit its row below, which puts the move in review.  Each
-// single-client shape runs two queries on one engine, as the benchmark does:
-// the first ships the client's keys, the second sends none.  The serving
-// shape sends one client's query, the same query again, and a new one.
+// tokens, so every one is pinned to an exact value here.  The last column is
+// the smallest noise budget the client's decryptions measured
+// (min_noise_margin_bits).  It may depend on the query (both token sets below
+// measure the same value), but it is deterministic, so it is pinned to 0.01
+// bits.  A change that moves a count or spends budget must edit its row
+// below, which puts the move in review.  Each single-client shape runs two
+// queries on one engine, as the benchmark does: the first ships the client's
+// keys, the second sends none.  The serving shape sends one client's query,
+// the same query again, and a new one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,28 +30,29 @@ struct Counts {
   std::uint64_t bytes, rounds, online_rounds, frames;
   std::uint64_t rotations, plain_mults, ct_mults;
   std::uint64_t and_gates, table_bytes;
+  double margin_bits;
 };
 
 // BERT-nano, Primer-FP, kProd8192 (the nano-prod-fp shape).
 constexpr Counts kNanoProdFp[] = {
-    {111110366, 102, 84, 219, 140, 427, 0, 442447, 14158304},
-    {32067344, 102, 84, 184, 140, 427, 0, 442447, 14158304},
+    {111110078, 102, 84, 219, 140, 427, 0, 442447, 14158304, 24.10},
+    {32067056, 102, 84, 184, 140, 427, 0, 442447, 14158304, 24.10},
 };
 // 2-block BERT-nano, Primer-FPC, kProto2048 (the nano2-proto-fpc shape).
 constexpr Counts kNano2ProtoFpc[] = {
-    {62737805, 190, 160, 374, 330, 1088, 0, 758711, 24278752},
-    {35891855, 190, 160, 327, 330, 1088, 0, 758711, 24278752},
+    {62737325, 190, 160, 374, 330, 1088, 0, 758711, 24278752, 18.63},
+    {35891375, 190, 160, 327, 330, 1088, 0, 758711, 24278752, 18.63},
 };
 
 // BERT-nano, Primer-base, kProto2048: every step online, key transfer too.
 constexpr Counts kNanoProtoBase[] = {
-    {52999721, 92, 92, 225, 1248, 1655, 96, 429151, 13732832},
-    {33824031, 92, 92, 191, 1248, 1655, 96, 429151, 13732832},
+    {52998377, 92, 92, 225, 1248, 1655, 96, 429151, 13732832, 18.32},
+    {33822687, 92, 92, 191, 1248, 1655, 96, 429151, 13732832, 18.32},
 };
 // BERT-nano, Primer-F, kProto2048.
 constexpr Counts kNanoProtoF[] = {
-    {44148637, 102, 84, 225, 538, 1391, 0, 429151, 13732832},
-    {20842807, 102, 84, 184, 538, 1391, 0, 429151, 13732832},
+    {44148349, 102, 84, 225, 538, 1391, 0, 429151, 13732832, 18.72},
+    {20842519, 102, 84, 184, 538, 1391, 0, 429151, 13732832, 18.72},
 };
 
 // The session's one OT setup (128 base OTs, 96 B each, in one frame each
@@ -60,9 +65,10 @@ Counts counts_of(const PrimerRunResult& r) {
   const PhaseCost online = r.costs.phase_total("online");
   PhaseCost he = r.costs.phase_total("offline");
   he += online;
-  return {r.total_bytes,   r.rounds,      online.rounds,
+  return {r.total_bytes,   r.rounds,        online.rounds,
           r.frames_sent,   he.he_rotations, he.he_mults,
-          he.he_ct_mults,  r.gc_and_gates, r.gc_table_bytes};
+          he.he_ct_mults,  r.gc_and_gates,  r.gc_table_bytes,
+          r.min_noise_margin_bits};
 }
 
 void expect_counts(const BertConfig& cfg, PrimerVariant variant,
@@ -86,6 +92,7 @@ void expect_counts(const BertConfig& cfg, PrimerVariant variant,
     EXPECT_EQ(got.ct_mults, w.ct_mults);
     EXPECT_EQ(got.and_gates, w.and_gates);
     EXPECT_EQ(got.table_bytes, w.table_bytes);
+    EXPECT_NEAR(got.margin_bits, w.margin_bits, 0.01);
     const PhaseCost& ot = r.costs.all()
                               .at(variant == PrimerVariant::kBase ? "online"
                                                                   : "offline")
@@ -100,6 +107,7 @@ struct ServeCounts {
   std::uint64_t bytes, rounds, online_rounds, frames;
   std::uint64_t replayed_frames, replayed_bytes, handshake_bytes;
   std::uint32_t resumed_epoch;
+  double margin_bits;
 };
 
 // PrimerServer (1 worker, in-memory store) over BERT-nano, Primer-FP,
@@ -107,9 +115,9 @@ struct ServeCounts {
 // engine, so both fresh requests ship the keys; the repeat resumes at the
 // last checkpoint and replays every frame before it at zero wire cost.
 constexpr ServeCounts kServeMixed[] = {
-    {40608593, 104, 84, 221, 0, 0, 76, 0},
-    {13292, 4, 2, 221, 216, 40595341, 116, 5},
-    {40608593, 104, 84, 221, 0, 0, 76, 0},
+    {40608305, 104, 84, 221, 0, 0, 76, 0, 19.20},
+    {13292, 4, 2, 221, 216, 40595053, 116, 5, 19.20},
+    {40608305, 104, 84, 221, 0, 0, 76, 0, 19.20},
 };
 
 TEST(TranscriptCounts, NanoProdFp) {
@@ -164,6 +172,7 @@ TEST(TranscriptCounts, ServeMixedShape) {
     EXPECT_EQ(r.replayed_bytes, w.replayed_bytes);
     EXPECT_EQ(r.handshake_bytes, w.handshake_bytes);
     EXPECT_EQ(r.resumed_epoch, w.resumed_epoch);
+    EXPECT_NEAR(r.min_noise_margin_bits, w.margin_bits, 0.01);
   }
 }
 

@@ -37,7 +37,21 @@
 namespace primer {
 namespace {
 
-TEST(FailureInjection, WrongSecretKeyDecryptsGarbage) {
+// The budget a refused decryption carries; a decryption that returns fails
+// the test and yields NaN, which no bound accepts.
+double refused_budget(const Decryptor& dec, const Ciphertext& ct) {
+  try {
+    (void)dec.decrypt(ct);
+  } catch (const NoiseBudgetExhausted& e) {
+    return e.budget_bits();
+  }
+  ADD_FAILURE() << "expected NoiseBudgetExhausted";
+  return std::numeric_limits<double>::quiet_NaN();
+}
+
+// Under the wrong key, c0 + c1*s is uniform mod q: the measured noise fills
+// the whole budget, so decrypt refuses instead of returning garbage.
+TEST(FailureInjection, WrongSecretKeyIsRefused) {
   const HeContext ctx(make_params(HeProfile::kTest2048));
   Rng rng(1);
   KeyGenerator good(ctx, rng);
@@ -46,15 +60,13 @@ TEST(FailureInjection, WrongSecretKeyDecryptsGarbage) {
   const Encryptor enc(ctx, good.secret_key(), rng);
   const Decryptor wrong_dec(ctx, evil.secret_key());
 
-  const std::vector<u64> v = {1, 2, 3, 4, 5};
-  const auto ct = enc.encrypt(encoder.encode(v));
-  const auto out = encoder.decode(wrong_dec.decrypt(ct));
-  int matches = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) matches += (out[i] == v[i]);
-  EXPECT_LE(matches, 1);  // decryption under the wrong key is noise
+  const auto ct = enc.encrypt(encoder.encode({1, 2, 3, 4, 5}));
+  EXPECT_LT(refused_budget(wrong_dec, ct), 0.01);
 }
 
-TEST(FailureInjection, TamperedCiphertextChangesPlaintext) {
+// One flipped NTT-form residue moves every coefficient of c0 by a value
+// uniform mod q_0: tampering is never silently absorbed.
+TEST(FailureInjection, TamperedCiphertextIsRefused) {
   const HeContext ctx(make_params(HeProfile::kTest2048));
   Rng rng(2);
   KeyGenerator keygen(ctx, rng);
@@ -62,15 +74,10 @@ TEST(FailureInjection, TamperedCiphertextChangesPlaintext) {
   const Encryptor enc(ctx, keygen.secret_key(), rng);
   const Decryptor dec(ctx, keygen.secret_key());
 
-  const std::vector<u64> v(16, 42);
-  auto ct = enc.encrypt(encoder.encode(v));
-  // Flip one RNS residue.
+  auto ct = enc.encrypt(encoder.encode(std::vector<u64>(16, 42)));
+  EXPECT_GT(dec.noise_budget(ct), 20.0);
   ct.parts[0].limb(0)[7] ^= 1;
-  const auto out = encoder.decode(dec.decrypt(ct));
-  EXPECT_NE(out, std::vector<u64>(encoder.slot_count(), 0) /*placeholder*/);
-  int diffs = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) diffs += (out[i] != v[i]);
-  EXPECT_GT(diffs, 0);  // tampering is never silently absorbed
+  EXPECT_LT(refused_budget(dec, ct), 0.01);
 }
 
 TEST(FailureInjection, CorruptedGarbledTableBreaksEvaluation) {
@@ -454,6 +461,40 @@ TEST(CorruptionMatrix, OutOfRangeWireValuesAreMalformed) {
     MatI m(2, 2);
     m(1, 0) = static_cast<std::int64_t>(pc.t());
     pc.send_ring(Party::kServer, m);
+    expect_malformed([&] { (void)pc.recv_ring(Party::kClient, 2, 2); });
+  }
+  // Checksum-valid payloads with bytes their decoder does not consume.  A
+  // slice 8 bytes longer than its ciphertext is what a sender that still
+  // appends a noise trailer ships.
+  struct Padding {
+    const char* what;
+    std::size_t in_slice, after_slice;
+  };
+  for (const Padding pad :
+       {Padding{"8 bytes after the ciphertext in its slice", 8, 0},
+        Padding{"8 bytes after the last slice", 0, 8}}) {
+    SCOPED_TRACE(pad.what);
+    ProtocolContext pc(HeProfile::kTest2048, 3, {1});
+    ByteWriter ct;
+    pc.eval.serialize(pc.enc.encrypt(pc.encoder.encode({1, 2, 3})), ct);
+    ByteWriter w;
+    w.u32(1);
+    w.u32(static_cast<std::uint32_t>(ct.size() + pad.in_slice));
+    w.bytes(ct.data().data(), ct.size());
+    for (std::size_t i = 0; i < pad.in_slice + pad.after_slice; ++i) w.u8(0);
+    pc.framed.send(Party::kServer, MessageKind::kCiphertexts, w.take());
+    expect_malformed([&] { (void)pc.recv_cts(Party::kClient); });
+  }
+  {
+    SCOPED_TRACE("one byte after the last ring share");
+    ProtocolContext pc(HeProfile::kTest2048, 3, {1});
+    ByteWriter w;
+    w.u32(2);
+    w.u32(2);
+    const std::uint64_t share = 1;
+    for (int i = 0; i < 4; ++i) w.bytes(&share, (pc.share_bits() + 7) / 8);
+    w.u8(0);
+    pc.framed.send(Party::kServer, MessageKind::kRingMatrix, w.take());
     expect_malformed([&] { (void)pc.recv_ring(Party::kClient, 2, 2); });
   }
 }
@@ -895,57 +936,31 @@ TEST(NoiseBudget, ExhaustedBudgetThrowsInsteadOfGarbage) {
 
   const Evaluator eval(ctx);
   auto ct = enc.encrypt(encoder.encode({5, 6, 7}));
-  EXPECT_GT(dec.estimated_budget(ct), 0.0);
+  EXPECT_GT(dec.noise_budget(ct), 0.01);
   EXPECT_NO_THROW((void)dec.decrypt(ct));
-
-  // A tracked-noise scare on a healthy ciphertext must NOT throw: the
-  // worst-case estimate trips the screen, the measured fallback clears it.
-  auto scare = ct;
-  scare.noise_log2 = ctx.params().log2_q();
-  EXPECT_LT(dec.estimated_budget(scare), 0.0);
-  EXPECT_NO_THROW((void)dec.decrypt(scare));
 
   // Genuinely destroy the ciphertext: each full-range plain multiply adds
   // ~log2(n*t) bits of real noise, so a few of them wrap past q on the
-  // 80-bit test profile.  Decrypt must refuse instead of returning garbage.
+  // 80-bit test profile.  Decrypt must refuse instead of returning garbage,
+  // and the refusal carries the budget the measurement path reports.
   std::vector<u64> big(encoder.slot_count());
   Rng noise_rng(7);
   noise_rng.fill_uniform_mod(big, ctx.t());
   const Plaintext heavy = encoder.encode(big);
   for (int i = 0; i < 4; ++i) eval.multiply_plain_inplace(ct, heavy);
-  EXPECT_LT(dec.noise_budget(ct), 0.01);  // measured: past the cliff
-  try {
-    (void)dec.decrypt(ct);
-    FAIL() << "expected NoiseBudgetExhausted";
-  } catch (const NoiseBudgetExhausted& e) {
-    EXPECT_LT(e.estimated_budget_bits(), 0.01);
-  }
-  // The measurement path must still be able to inspect such a ciphertext.
-  EXPECT_NO_THROW((void)dec.noise_budget(ct));
-}
+  const double measured = dec.noise_budget(ct);  // never refuses
+  EXPECT_LT(measured, 0.01);
+  EXPECT_EQ(refused_budget(dec, ct), measured);
 
-TEST(NoiseBudget, EstimateIsConservativeThroughOps) {
-  const HeContext ctx(make_params(HeProfile::kTest2048));
-  Rng rng(7);
-  KeyGenerator keygen(ctx, rng);
-  const BatchEncoder encoder(ctx);
-  const Encryptor enc(ctx, keygen.secret_key(), rng);
-  const Decryptor dec(ctx, keygen.secret_key());
-  const Evaluator eval(ctx);
-
-  std::vector<u64> v(encoder.slot_count());
-  for (std::size_t i = 0; i < v.size(); ++i) v[i] = i % ctx.t();
-  auto a = enc.encrypt(encoder.encode(v));
-  auto b = enc.encrypt(encoder.encode(v));
-  eval.add_inplace(a, b);
-  eval.multiply_plain_inplace(a, encoder.encode(std::vector<u64>(v.size(), 3)));
-  eval.add_inplace(a, b);
-
-  const double estimated = dec.estimated_budget(a);
-  const double measured = dec.noise_budget(a);
-  // The tracked estimate must never promise more budget than reality.
-  EXPECT_GT(estimated, 0.0);
-  EXPECT_LE(estimated, measured);
+  // The wire carries the parts and no claim about their noise, so the
+  // receiver's own measurement refuses the same ciphertext.
+  ByteWriter w;
+  eval.serialize(ct, w);
+  const auto bytes = w.take();
+  ByteReader r(bytes);
+  const Ciphertext received = eval.deserialize(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_LT(refused_budget(dec, received), 0.01);
 }
 
 TEST(NoiseBudget, DecryptorTracksMinMargin) {
@@ -964,8 +979,10 @@ TEST(NoiseBudget, DecryptorTracksMinMargin) {
                               encoder.encode(std::vector<u64>(1, 1000)));
   (void)dec.decrypt(fresh);
   (void)dec.decrypt(noisy);
+  // The reported margin is the measured budget of the noisier decryption.
   const double margin = dec.take_min_margin();
-  EXPECT_DOUBLE_EQ(margin, dec.estimated_budget(noisy));
+  EXPECT_EQ(margin, dec.noise_budget(noisy));
+  EXPECT_LT(margin, dec.noise_budget(fresh));
   // Consumed: next read is +inf until another decryption happens.
   EXPECT_TRUE(std::isinf(dec.take_min_margin()));
 }
@@ -980,22 +997,26 @@ TEST(NoiseBudget, ExhaustionPropagatesThroughPrimerEngineRun) {
   EnvGuard env(std::vector<std::pair<const char*, const char*>>{
       {"PRIMER_NOISE_FLOOR_BITS", "10000"}});
   PrimerEngine engine(weights, PrimerVariant::kFP);
+  double refused = 0.0;
   try {
     (void)engine.run({3, 17, 9, 28});
     FAIL() << "expected NoiseBudgetExhausted";
   } catch (const NoiseBudgetExhausted& e) {
-    EXPECT_GT(e.estimated_budget_bits(), 0.0);   // healthy ct, hostile floor
-    EXPECT_LT(e.estimated_budget_bits(), 10000.0);
+    refused = e.budget_bits();
+    EXPECT_GT(refused, 0.0);  // healthy ct, hostile floor
+    EXPECT_LT(refused, 10000.0);
   }
-  // The engine snapshotted what the attempt saw before refusing.
+  // The engine snapshotted what the attempt saw before refusing, the
+  // refused decryption included.
   ASSERT_NE(engine.last_partial(), nullptr);
   const PrimerRunResult& partial = *engine.last_partial();
   EXPECT_TRUE(std::isfinite(partial.min_noise_margin_bits));
   EXPECT_GT(partial.min_noise_margin_bits, 0.0);
+  EXPECT_LE(partial.min_noise_margin_bits, refused);
   EXPECT_GT(partial.total_bytes, 0u);  // some traffic happened before the trip
 }
 
-TEST(NoiseBudget, DeserializeRejectsInsaneNoiseAndPartCount) {
+TEST(NoiseBudget, DeserializeRejectsHostilePartCount) {
   const HeContext ctx(make_params(HeProfile::kTest2048));
   Rng rng(9);
   KeyGenerator keygen(ctx, rng);
@@ -1006,24 +1027,11 @@ TEST(NoiseBudget, DeserializeRejectsInsaneNoiseAndPartCount) {
 
   ByteWriter w;
   eval.serialize(ct, w);
-  auto bytes = w.take();
-
-  {
-    // NaN noise estimate would disarm the decrypt guard.
-    auto evil = bytes;
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    std::memcpy(evil.data() + evil.size() - sizeof(double), &nan, sizeof nan);
-    ByteReader r(evil);
-    EXPECT_THROW((void)eval.deserialize(r), std::out_of_range);
-  }
-  {
-    // Hostile part count.
-    auto evil = bytes;
-    const std::uint32_t parts = 0x7fffffff;
-    std::memcpy(evil.data(), &parts, sizeof parts);
-    ByteReader r(evil);
-    EXPECT_THROW((void)eval.deserialize(r), std::out_of_range);
-  }
+  auto evil = w.take();
+  const std::uint32_t parts = 0x7fffffff;
+  std::memcpy(evil.data(), &parts, sizeof parts);
+  ByteReader r(evil);
+  EXPECT_THROW((void)eval.deserialize(r), std::out_of_range);
 }
 
 }  // namespace

@@ -105,6 +105,8 @@ TEST_F(HeTest, U256ModLargeValue) {
 TEST_F(HeTest, CrtComposeRoundTrip) {
   // Encode small signed values into RNS and verify centered mod-t recovery.
   // Values must stay within the centered range (-t/2, t/2] to round-trip.
+  // The composition also reports |x - m|: 0 when x is its own residue in
+  // [0, t), and t when x in (-t, 0) has the residue x + t.
   const u64 t = ctx_->t();
   ASSERT_GT(t, u64{1} << 20);
   for (i64 val : {i64{0}, i64{1}, i64{-1}, i64{123456}, i64{-400000}}) {
@@ -114,8 +116,11 @@ TEST_F(HeTest, CrtComposeRoundTrip) {
       residues[i] = val >= 0 ? static_cast<u64>(val) % q
                              : q - (static_cast<u64>(-val) % q);
     }
-    const u64 got = ctx_->compose_center_mod_t(residues);
+    U256 noise;
+    const u64 got = ctx_->compose_center_mod_t(residues, noise);
     EXPECT_EQ(fp_from_ring(got, t), val);
+    const U256 want = U256::from_u64(val >= 0 ? 0 : t);
+    EXPECT_EQ(noise.limb, want.limb) << val;
   }
 }
 

@@ -178,10 +178,6 @@ TEST(KeySwitch, GaloisKeysUseSubDigitsRelinUsesCrtDigits) {
   // Half-width sub-digits: two per RNS limb at these modulus sizes.
   EXPECT_EQ(key.digits(), 2 * k);
   EXPECT_EQ(f.ctx.decomp_layout(key.decomp_bits).size(), key.digits());
-  // The additive key-switch noise of the sub-digit layout is far below the
-  // CRT layout's — the headroom the BSGS schedule spends on plain mults.
-  EXPECT_LT(f.ctx.kswitch_noise_log2(key.decomp_bits),
-            f.ctx.kswitch_noise_log2(0) - 15.0);
 }
 
 TEST(KeySwitch, RotateThenMultiplyKeepsNoiseBudget) {

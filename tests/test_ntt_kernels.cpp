@@ -578,7 +578,13 @@ TEST(RnsPolyFlat, SerializationRoundTripsBitExactly) {
                           ct.parts[i].word_count() * sizeof(u64)),
               0);
   }
-  EXPECT_EQ(back.noise_log2, ct.noise_log2);
+  // The parts are all a serialized ciphertext carries: per part a domain
+  // flag, the shape (u32 limbs, u64 degree) and the limbs.
+  std::size_t part_bytes = 0;
+  for (const auto& part : ct.parts) {
+    part_bytes += 1 + 4 + 8 + part.word_count() * sizeof(u64);
+  }
+  EXPECT_EQ(bytes.size(), 4 + part_bytes);
   EXPECT_EQ(encoder.decode(dec.decrypt(back)), vals);
 }
 

@@ -302,7 +302,7 @@ TEST(NoiseFloor, EnvKnobRaisesTheRefusalThreshold) {
     (void)strict_dec.decrypt(ct);
     FAIL() << "expected NoiseBudgetExhausted";
   } catch (const NoiseBudgetExhausted& e) {
-    EXPECT_GT(e.estimated_budget_bits(), 0.0);  // healthy ct, hostile floor
+    EXPECT_GT(e.budget_bits(), 0.0);  // healthy ct, hostile floor
   }
 }
 
